@@ -7,7 +7,7 @@ from .data import (DatasetManifest, ModalityInstance, Sample, SyntheticConfig,
                    generate_synthetic, load_dataset, load_dataset_dir, save_dataset)
 from .errors import (ConfigError, DataError, EmptySetError, MMSetsError, NumericError)
 from .evaluate import evaluate_model, predict_scores, run_kfold
-from .fusion import (ConcatModel, FusionModel, ImportanceRecord, ModalitySpec,
+from .fusion import (ConcatModel, FusionModel, ImportanceRecord, ModalitySpec, ModelConfig,
                      aggregate_importance, build_set)
 from .metrics import (EvalReport, UndefinedMetricError, accuracy_suite, export_fim,
                       f1_suite, roc_auc)

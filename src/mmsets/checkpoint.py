@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .fusion import ConcatModel, FusionModel, ModalitySpec
+from .fusion import ConcatModel, FusionModel, ModalitySpec, ModelConfig
 
 CHECKPOINT_VERSION = 1
 
@@ -46,13 +47,7 @@ def save_checkpoint(model, path, config_hash: str = "") -> None:
         "config_hash": config_hash,
         "specs": [s.to_dict() for s in model.specs],
         "num_classes": model.num_classes,
-        "dim": model.dim,
-        "predictor_hidden": list(model.predictor_hidden),
-        "embed_dim": model.embed_dim,
-        "num_filters": model.num_filters,
-        "kernel_widths": list(model.kernel_widths),
-        "dropout_p": model.dropout_p,
-        "class_prior": model.class_prior,
+        **asdict(model.config),
         "params": {name: _encode_array(p.data)
                    for name, p in model.named_parameters().items()},
         **extra,
@@ -61,7 +56,8 @@ def save_checkpoint(model, path, config_hash: str = "") -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild the model and restore its parameters bit-exactly."""
+    """Rebuild the model and restore its parameters bit-exactly; anything
+    malformed, missing or out of range raises DataError."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -69,19 +65,26 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint not found: {path}")
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint is not valid JSON: {exc}", field=str(path))
+    if not isinstance(obj, dict):
+        raise DataError("checkpoint must hold a JSON object", field=str(path))
     if obj.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint_version {obj.get('checkpoint_version')!r}")
+    try:
+        return _restore(obj)
+    except KeyError as exc:
+        raise DataError(f"checkpoint is missing field {exc}", field=str(path))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint: {exc}", field=str(path))
+
+
+def _restore(obj: dict):
     specs = [ModalitySpec.from_dict(d) for d in obj["specs"]]
-    common = dict(num_classes=obj["num_classes"], dim=obj["dim"],
-                  predictor_hidden=tuple(obj["predictor_hidden"]),
-                  embed_dim=obj["embed_dim"], num_filters=obj["num_filters"],
-                  kernel_widths=tuple(obj["kernel_widths"]),
-                  dropout_p=obj["dropout_p"], class_prior=obj["class_prior"])
+    config = {f.name: obj[f.name] for f in fields(ModelConfig)}
     kind = obj.get("model_kind")
     if kind == "fusion":
-        model = FusionModel(specs, pool=obj["pool"], **common)
+        model = FusionModel(specs, obj["num_classes"], pool=obj["pool"], **config)
     elif kind == "concat":
-        model = ConcatModel(specs, slots=obj["slots"], **common)
+        model = ConcatModel(specs, obj["num_classes"], slots=obj["slots"], **config)
     else:
         raise DataError(f"unknown model_kind {kind!r}")
     params = model.named_parameters()

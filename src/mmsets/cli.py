@@ -14,59 +14,36 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticConfig, generate_synthetic, load_dataset_dir, save_dataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import evaluate_model, run_kfold
-from .fusion import ConcatModel, FusionModel, aggregate_importance
+from .fusion import ConcatModel, FusionModel, ModelConfig, aggregate_importance
 from .metrics import EvalReport, export_fim
 from .tensor import POOL_MODES
 from .training import TrainConfig, train
 
-GEN_DEFAULTS = {
-    "num_modalities": 4,
-    "feature_dims": None,
-    "min_instances": 1,
-    "max_instances": 3,
-    "informative_modality": "m0",
-    "missing_rates": 0.0,
-    "noise_scale": 0.25,
-    "num_classes": 2,
-    "num_samples": 1000,
-    "seed": None,
-    "task": "single_label",
-}
+def _field_defaults(cls, omit=()) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in omit}
 
-MODEL_DEFAULTS = {
-    "pool": "max",
-    "dim": 32,
-    "predictor_hidden": [32],
-    "embed_dim": 16,
-    "num_filters": 16,
-    "kernel_widths": [2, 3, 4],
-    "dropout_p": 0.25,
-    "class_prior": 0.01,
-    "baseline": None,
-    "modalities": None,
-}
 
-TRAIN_DEFAULTS = {
-    "epochs": 25,
-    "batch_size": 32,
-    "peak_lr": 0.001,
-    "warmup_epochs": 5,
-    "min_lr": 0.0,
-    "weight_decay": 0.01,
-    "class_weighting": False,
-    "seed": None,
-}
-
+# The generator and training seeds fall back to MMSETS_SEED, then 0. AdamW's
+# beta1, beta2 and eps are fixed by the recipe: no flag sets them and they
+# stay out of the hashed resolved config.
+GEN_DEFAULTS = {**_field_defaults(SyntheticConfig), "seed": None}
+MODEL_DEFAULTS = {**_field_defaults(ModelConfig),
+                  "pool": inspect.signature(FusionModel).parameters["pool"].default,
+                  "baseline": None, "modalities": None}
+TRAIN_DEFAULTS = {**_field_defaults(TrainConfig, omit=("beta1", "beta2", "eps")),
+                  "seed": None}
 EVAL_DEFAULTS = {"kfold": 0, "importance": False, "checkpoint": None}
 
 
@@ -87,22 +64,24 @@ def _read_config_file(path) -> dict:
     return obj
 
 
-def _resolve(defaults: dict, file_cfg: dict, flag_cfg: dict) -> dict:
+def _resolve(defaults: dict, config_path, flag_cfg: dict) -> dict:
+    """Flags over the config file over ``defaults``; an unset seed falls back
+    to MMSETS_SEED, then 0."""
     resolved = dict(defaults)
-    for key, value in file_cfg.items():
+    for key, value in (_read_config_file(config_path) if config_path else {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown config field {key!r}")
         resolved[key] = value
     for key, value in flag_cfg.items():
         if value is not None:
             resolved[key] = value
+    if resolved["seed"] is None:
+        env = os.environ.get("MMSETS_SEED", "0")
+        try:
+            resolved["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"MMSETS_SEED must be an integer, got {env!r}")
     return resolved
-
-
-def _resolve_seed(resolved: dict) -> None:
-    if resolved.get("seed") is None:
-        env = os.environ.get("MMSETS_SEED")
-        resolved["seed"] = int(env) if env is not None else 0
 
 
 def config_hash(resolved: dict) -> str:
@@ -135,53 +114,45 @@ def _select_specs(manifest, resolved: dict):
         return manifest.modalities
     if isinstance(wanted, str):
         wanted = [m.strip() for m in wanted.split(",") if m.strip()]
+    if not isinstance(wanted, list) or not wanted:
+        raise ConfigError("modalities must name at least one modality")
     known = {s.modality_id for s in manifest.modalities}
     unknown = sorted(set(wanted) - known)
     if unknown:
         raise ConfigError(f"modalities not in the dataset manifest: {unknown}")
-    if not wanted:
-        raise ConfigError("modalities must name at least one modality")
     return [s for s in manifest.modalities if s.modality_id in set(wanted)]
 
 
-def _build_model(manifest, resolved: dict, seed: int):
-    specs = _select_specs(manifest, resolved)
-    kwargs = dict(num_classes=manifest.num_classes, dim=resolved["dim"],
-                  predictor_hidden=tuple(resolved["predictor_hidden"]),
-                  embed_dim=resolved["embed_dim"], num_filters=resolved["num_filters"],
-                  kernel_widths=tuple(resolved["kernel_widths"]),
-                  dropout_p=resolved["dropout_p"], class_prior=resolved["class_prior"],
-                  seed=seed)
-    if resolved["baseline"] == "concat":
-        return ConcatModel(specs, **kwargs)
-    return FusionModel(specs, pool=resolved["pool"], **kwargs)
-
-
-def _train_config(resolved: dict) -> TrainConfig:
+def _config(cls, resolved: dict):
+    """``cls`` built from the resolved values of its fields; a bad value is
+    a ConfigError."""
     try:
-        return TrainConfig(epochs=resolved["epochs"], batch_size=resolved["batch_size"],
-                           peak_lr=resolved["peak_lr"],
-                           warmup_epochs=resolved["warmup_epochs"],
-                           min_lr=resolved["min_lr"],
-                           weight_decay=resolved["weight_decay"],
-                           class_weighting=resolved["class_weighting"],
-                           seed=resolved["seed"])
+        return cls(**{f.name: resolved[f.name] for f in fields(cls) if f.name in resolved})
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def _model_builder(manifest, resolved: dict):
+    """Check every model setting now; return seed -> a fresh model."""
+    specs = _select_specs(manifest, resolved)
+    config = asdict(_config(ModelConfig, resolved))
+    num_classes = manifest.num_classes
+    if resolved["baseline"] == "concat":
+        return lambda seed: ConcatModel(specs, num_classes, seed=seed, **config)
+    if resolved["baseline"] is not None:
+        raise ConfigError(f"baseline must be 'concat' or null, got {resolved['baseline']!r}")
+    pool = resolved["pool"]
+    if pool not in POOL_MODES:
+        raise ConfigError(f"pool must be one of {POOL_MODES}, got {pool!r}")
+    return lambda seed: FusionModel(specs, num_classes, pool=pool, seed=seed, **config)
 
 
 def cmd_gen_synthetic(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
     flag_cfg = {"num_samples": args.samples, "num_classes": args.classes,
                 "num_modalities": args.modalities, "seed": args.seed,
                 "task": args.task}
-    resolved = _resolve(GEN_DEFAULTS, file_cfg, flag_cfg)
-    _resolve_seed(resolved)
-    try:
-        cfg = SyntheticConfig(**{k: (tuple(v) if isinstance(v, list) else v)
-                                 for k, v in resolved.items()})
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    resolved = _resolve(GEN_DEFAULTS, args.config, flag_cfg)
+    cfg = _config(SyntheticConfig, resolved)
     run_dir = _run_dir(resolved, args.out)
     manifest, samples = generate_synthetic(cfg)
     save_dataset(manifest, samples, run_dir)
@@ -189,33 +160,32 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _load_data(args):
+def _prepare(args, extra_defaults: dict, extra_flags: dict):
+    """Load the data and resolve and check every train/eval setting, before
+    anything is written. Returns (manifest, samples, resolved config,
+    seed -> fresh model, TrainConfig)."""
     if not args.data:
         raise ConfigError("--data is required")
-    return load_dataset_dir(args.data)
-
-
-def _model_flags(args) -> dict:
-    return {"pool": args.pool, "dim": args.dim, "baseline": args.baseline,
-            "modalities": args.modalities}
+    manifest, samples = load_dataset_dir(args.data)
+    flag_cfg = {"pool": args.pool, "dim": args.dim, "baseline": args.baseline,
+                "modalities": args.modalities, "epochs": args.epochs, "seed": args.seed,
+                "batch_size": args.batch_size, "warmup_epochs": args.warmup_epochs,
+                **extra_flags}
+    resolved = _resolve({**MODEL_DEFAULTS, **TRAIN_DEFAULTS, **extra_defaults},
+                        args.config, flag_cfg)
+    resolved["data"] = str(args.data)
+    resolved["command"] = args.command
+    return (manifest, samples, resolved, _model_builder(manifest, resolved),
+            _config(TrainConfig, resolved))
 
 
 def cmd_train(args) -> int:
-    manifest, samples = _load_data(args)
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    flag_cfg = {**_model_flags(args), "epochs": args.epochs, "seed": args.seed,
-                "batch_size": args.batch_size, "warmup_epochs": args.warmup_epochs}
-    resolved = _resolve({**MODEL_DEFAULTS, **TRAIN_DEFAULTS}, file_cfg, flag_cfg)
-    _resolve_seed(resolved)
-    resolved["data"] = str(args.data)
-    resolved["command"] = "train"
+    manifest, samples, resolved, build_model, train_config = _prepare(args, {}, {})
     run_dir = _run_dir(resolved, args.out)
-
-    model = _build_model(manifest, resolved, resolved["seed"])
+    model = build_model(resolved["seed"])
     fh, write = _log_writer(run_dir / "train_log.jsonl")
     try:
-        train(model, samples, _train_config(resolved), task=manifest.task,
-              on_epoch=write)
+        train(model, samples, train_config, task=manifest.task, on_epoch=write)
     finally:
         fh.close()
     save_checkpoint(model, run_dir / "checkpoint.json", config_hash(resolved))
@@ -224,39 +194,34 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest, samples = _load_data(args)
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    flag_cfg = {**_model_flags(args), "epochs": args.epochs, "seed": args.seed,
-                "batch_size": args.batch_size, "warmup_epochs": args.warmup_epochs,
-                "kfold": args.kfold, "importance": args.importance or None,
-                "checkpoint": args.checkpoint}
-    resolved = _resolve({**MODEL_DEFAULTS, **TRAIN_DEFAULTS, **EVAL_DEFAULTS},
-                        file_cfg, flag_cfg)
-    _resolve_seed(resolved)
-    resolved["data"] = str(args.data)
-    resolved["command"] = "eval"
-
+    manifest, samples, resolved, build_model, train_config = _prepare(
+        args, EVAL_DEFAULTS, {"kfold": args.kfold, "importance": args.importance or None,
+                              "checkpoint": args.checkpoint})
     if resolved["importance"]:
         if resolved["baseline"] == "concat":
             raise ConfigError("--importance is not defined for the concat baseline")
         if resolved["pool"] not in ("max", "min"):
             raise ConfigError(
                 f"--importance needs max or min pooling, got {resolved['pool']!r}")
+    k = resolved["kfold"]
+    if k and (isinstance(k, bool) or not isinstance(k, int) or not 2 <= k <= len(samples)):
+        raise ConfigError(f"kfold must be an integer from 2 to the sample count "
+                          f"{len(samples)}, got {k!r}")
+    if not k and not (resolved["checkpoint"] and isinstance(resolved["checkpoint"], str)):
+        raise ConfigError("eval needs --kfold K or --checkpoint PATH")
 
     run_dir = _run_dir(resolved, args.out)
     records = []
-    if resolved["kfold"]:
+    if k:
         def factory(fold_index):
-            return _build_model(manifest, resolved, resolved["seed"] + 1000 * fold_index)
+            return build_model(resolved["seed"] + 1000 * fold_index)
 
         report, records = run_kfold(samples, manifest.task, factory,
-                                    _train_config(resolved), k=resolved["kfold"],
+                                    train_config, k=k,
                                     seed=resolved["seed"],
                                     collect_importance=resolved["importance"])
         tag = f"{'concat' if resolved['baseline'] else resolved['pool']}_D{resolved['dim']}"
     else:
-        if not resolved["checkpoint"]:
-            raise ConfigError("eval needs --kfold K or --checkpoint PATH")
         model, _ = load_checkpoint(resolved["checkpoint"])
         metrics, records, _ = evaluate_model(model, samples, manifest.task)
         metrics["fold"] = 0
@@ -268,7 +233,7 @@ def cmd_eval(args) -> int:
         report = EvalReport(task=manifest.task, num_folds=1, folds=[metrics],
                             mean={k: v for k, v in metrics.items() if k != "fold"},
                             fim=fim)
-        tag = f"{getattr(model, 'pool', 'concat')}_D{model.dim}"
+        tag = f"{getattr(model, 'pool', 'concat')}_D{model.config.dim}"
 
     (run_dir / "report.json").write_text(report.to_json())
     if resolved["importance"] and report.fim is not None:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int, check_real
 from .fusion import DENSE, ModalitySpec
 
 FORMAT_VERSION = 1
@@ -131,8 +131,9 @@ def _parse_sample(obj: dict, manifest: DatasetManifest, line_no: int) -> Sample:
     labels = obj.get("labels")
     C = manifest.num_classes
     if (not isinstance(labels, list) or len(labels) != C
-            or any(v not in (0, 1) for v in labels)):
-        raise DataError(f"labels must be a 0/1 list of length {C}", sample_id, "labels")
+            or not all(type(v) is int and v in (0, 1) for v in labels)):
+        raise DataError(f"labels must be a list of {C} integers, each 0 or 1",
+                        sample_id, "labels")
     if manifest.task == "single_label" and sum(labels) != 1:
         raise DataError("single_label sample must have exactly one positive label",
                         sample_id, "labels")
@@ -255,8 +256,7 @@ class SyntheticConfig:
     task: str = "single_label"
 
     def __post_init__(self):
-        if self.num_modalities < 1:
-            raise ValueError("num_modalities must be >= 1")
+        check_int("num_modalities", self.num_modalities)
         if self.feature_dims is None:
             self.feature_dims = (8,) * self.num_modalities
         self.feature_dims = tuple(int(v) for v in self.feature_dims)
@@ -264,8 +264,8 @@ class SyntheticConfig:
             raise ValueError("feature_dims must have one entry per modality")
         if any(v < 1 for v in self.feature_dims):
             raise ValueError("feature_dims must be positive")
-        if not 1 <= self.min_instances <= self.max_instances:
-            raise ValueError("need 1 <= min_instances <= max_instances")
+        check_int("min_instances", self.min_instances)
+        check_int("max_instances", self.max_instances, self.min_instances)
         ids = self.modality_ids()
         if self.informative_modality not in ids:
             raise ValueError(
@@ -282,12 +282,10 @@ class SyntheticConfig:
             raise ValueError("missing_rates must lie in [0, 1)")
         if self.missing_rates[ids.index(self.informative_modality)] != 0.0:
             raise ValueError("the informative modality must never be missing")
-        if self.noise_scale < 0.0:
-            raise ValueError("noise_scale must be >= 0")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
+        check_real("noise_scale", self.noise_scale, 0.0)
+        check_int("num_classes", self.num_classes, 2)
+        check_int("num_samples", self.num_samples)
+        check_int("seed", self.seed, 0)
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}")
         bits = max(1, math.ceil(math.log2(self.num_classes)))

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, plus the value checks
+the config dataclasses share.
 
 The CLI maps these onto exit codes: configuration problems exit 1, data
 validation problems exit 2, numeric runtime failures exit 3.
 """
+
+import numbers
 
 
 class MMSetsError(Exception):
@@ -37,3 +40,19 @@ class EmptySetError(DataError):
 
 class NumericError(MMSetsError):
     """A non-finite loss or gradient aborted the computation."""
+
+
+def check_int(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = float("inf"),
+               open_low: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a real number (not a bool) in
+    ``[low, high)``, or ``(low, high)`` when ``open_low``. NaN and inf fail."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low < value if open_low else low <= value) or not value < high):
+        raise ValueError(f"{name} must be a number in {'(' if open_low else '['}{low}, "
+                         f"{high}), got {value!r}")

@@ -14,18 +14,17 @@ and extra instances are dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .errors import EmptySetError
+from .errors import EmptySetError, check_int, check_real
 from .seeding import derive_rng
 from .training import init_classifier_bias
 
 DENSE = "dense"
 INDEX_SEQUENCE = "index_sequence"
-DEFAULT_KERNEL_WIDTHS = (2, 3, 4)
 PAD_INDEX = 0
 
 
@@ -46,20 +45,16 @@ class ModalitySpec:
     max_instances: int = 10
 
     def __post_init__(self):
-        if not self.modality_id:
+        if not isinstance(self.modality_id, str) or not self.modality_id:
             raise ValueError("modality_id must be a nonempty string")
         if self.kind == DENSE:
-            if not self.input_dim or self.input_dim < 1:
-                raise ValueError(f"dense modality {self.modality_id!r} needs input_dim >= 1")
+            check_int(f"input_dim of dense modality {self.modality_id!r}", self.input_dim)
         elif self.kind == INDEX_SEQUENCE:
-            if not self.vocab_size or self.vocab_size < 1:
-                raise ValueError(
-                    f"index_sequence modality {self.modality_id!r} needs vocab_size >= 1"
-                )
+            check_int(f"vocab_size of index_sequence modality {self.modality_id!r}",
+                      self.vocab_size)
         else:
             raise ValueError(f"unknown modality kind {self.kind!r}")
-        if self.max_instances < 1:
-            raise ValueError("max_instances must be >= 1")
+        check_int(f"max_instances of modality {self.modality_id!r}", self.max_instances)
 
     def to_dict(self) -> dict:
         d = {"modality_id": self.modality_id, "kind": self.kind,
@@ -72,9 +67,39 @@ class ModalitySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":
-        return cls(modality_id=d["modality_id"], kind=d["kind"],
-                   input_dim=d.get("input_dim"), vocab_size=d.get("vocab_size"),
-                   max_instances=d.get("max_instances", 10))
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Hyperparameters both models share; the one place their defaults live.
+
+    Lists are stored as tuples. A value of the wrong type or out of range
+    raises ValueError naming its field.
+    """
+
+    dim: int = 32
+    predictor_hidden: tuple[int, ...] = (32,)
+    embed_dim: int = 16
+    num_filters: int = 16
+    kernel_widths: tuple[int, ...] = (2, 3, 4)
+    dropout_p: float = 0.25
+    class_prior: float = 0.01
+
+    def __post_init__(self):
+        for name in ("predictor_hidden", "kernel_widths"):
+            widths = getattr(self, name)
+            if not isinstance(widths, (list, tuple)):
+                raise ValueError(f"{name} must be a list of integers, got {widths!r}")
+            object.__setattr__(self, name, tuple(widths))
+            for i, width in enumerate(widths):
+                check_int(f"{name}[{i}]", width)
+        if not self.kernel_widths:
+            raise ValueError("kernel_widths must hold at least one width")
+        for name in ("dim", "embed_dim", "num_filters"):
+            check_int(name, getattr(self, name))
+        check_real("dropout_p", self.dropout_p, 0.0, 1.0)
+        check_real("class_prior", self.class_prior, 0.0, 1.0, open_low=True)
 
 
 @dataclass
@@ -142,12 +167,11 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
 class DenseEncoder:
     """Single FC layer with ELU and dropout: [1,M] -> [1,D]."""
 
-    def __init__(self, spec: ModalitySpec, dim: int, dropout_p: float,
-                 rng: np.random.Generator):
+    def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
         self.spec = spec
-        self.dropout_p = dropout_p
-        self.weight = T.parameter(_uniform_init(rng, (spec.input_dim, dim)))
-        self.bias = T.parameter(np.zeros((1, dim)))
+        self.dropout_p = config.dropout_p
+        self.weight = T.parameter(_uniform_init(rng, (spec.input_dim, config.dim)))
+        self.bias = T.parameter(np.zeros((1, config.dim)))
 
     def encode(self, payload: np.ndarray, training: bool, rng) -> T.Tensor:
         x = np.asarray(payload, dtype=np.float64)
@@ -171,21 +195,19 @@ class SequenceEncoder:
     reserved index 0 so the convolution is always defined.
     """
 
-    def __init__(self, spec: ModalitySpec, dim: int, embed_dim: int, num_filters: int,
-                 kernel_widths: tuple[int, ...], dropout_p: float,
-                 rng: np.random.Generator):
+    def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
         self.spec = spec
-        self.dropout_p = dropout_p
-        self.kernel_widths = tuple(kernel_widths)
-        self.embedding = T.parameter(_uniform_init(rng, (spec.vocab_size, embed_dim)))
+        self.dropout_p = config.dropout_p
+        self.kernel_widths = config.kernel_widths
+        self.embedding = T.parameter(_uniform_init(rng, (spec.vocab_size, config.embed_dim)))
         self.kernels = {
-            w: T.parameter(_uniform_init(rng, (w, embed_dim, num_filters)))
+            w: T.parameter(_uniform_init(rng, (w, config.embed_dim, config.num_filters)))
             for w in self.kernel_widths
         }
         self.projection = T.parameter(
-            _uniform_init(rng, (len(self.kernel_widths) * num_filters, dim))
+            _uniform_init(rng, (len(self.kernel_widths) * config.num_filters, config.dim))
         )
-        self.bias = T.parameter(np.zeros((1, dim)))
+        self.bias = T.parameter(np.zeros((1, config.dim)))
 
     def encode(self, payload: np.ndarray, training: bool, rng) -> T.Tensor:
         idx = np.asarray(payload)
@@ -247,54 +269,65 @@ class Mlp:
         return params
 
 
-def _build_encoders(specs, dim, embed_dim, num_filters, kernel_widths, dropout_p, rng):
-    encoders = {}
-    for spec in sorted(specs, key=lambda s: s.modality_id):
-        if spec.kind == DENSE:
-            encoders[spec.modality_id] = DenseEncoder(spec, dim, dropout_p, rng)
-        else:
-            encoders[spec.modality_id] = SequenceEncoder(
-                spec, dim, embed_dim, num_filters, kernel_widths, dropout_p, rng
-            )
-    return encoders
+class _ModelCore:
+    """What both models share: the ModelConfig, the sorted specs, one encoder
+    per modality, the predictor and their parameters. A subclass sets up its
+    combine step before calling this constructor, and defines ``forward`` and
+    ``combined_dim``, the width of the vector it hands the predictor."""
 
-
-def _check_specs(specs):
-    ids = [s.modality_id for s in specs]
-    if not ids:
-        raise ValueError("a model needs at least one modality")
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate modality ids: {sorted(ids)}")
-
-
-class FusionModel:
-    """Set fusion model: per-modality encoders, pooling, predictor."""
-
-    def __init__(self, specs, num_classes: int, dim: int = 32, pool: str = "max",
-                 predictor_hidden=(32,), embed_dim: int = 16, num_filters: int = 16,
-                 kernel_widths=DEFAULT_KERNEL_WIDTHS, dropout_p: float = 0.25,
-                 class_prior: float = 0.01, seed: int = 0):
-        _check_specs(specs)
-        if num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+    def __init__(self, specs, num_classes: int, seed: int, config: dict):
+        ids = [s.modality_id for s in specs]
+        if not ids:
+            raise ValueError("a model needs at least one modality")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate modality ids: {sorted(ids)}")
+        check_int("num_classes", num_classes)
         self.specs = tuple(sorted(specs, key=lambda s: s.modality_id))
         self.modality_ids = tuple(s.modality_id for s in self.specs)
         self.num_classes = num_classes
-        self.dim = dim
-        self.pool = pool
-        self.predictor_hidden = tuple(predictor_hidden)
-        self.embed_dim = embed_dim
-        self.num_filters = num_filters
-        self.kernel_widths = tuple(kernel_widths)
-        self.dropout_p = dropout_p
-        self.class_prior = class_prior
-        self.seed = seed
+        self.config = cfg = ModelConfig(**config)
         rng = derive_rng(seed, "init")
-        self.encoders = _build_encoders(self.specs, dim, embed_dim, num_filters,
-                                        self.kernel_widths, dropout_p, rng)
-        self.predictor = Mlp([dim, *self.predictor_hidden, num_classes], rng,
-                             final_bias=init_classifier_bias(num_classes, class_prior))
+        self.encoders = {
+            s.modality_id: (DenseEncoder if s.kind == DENSE else SequenceEncoder)(s, cfg, rng)
+            for s in self.specs
+        }
+        self.predictor = Mlp([self.combined_dim, *cfg.predictor_hidden, num_classes], rng,
+                             final_bias=init_classifier_bias(num_classes, cfg.class_prior))
+
+    @staticmethod
+    def _forward_rng(sample, training: bool, rng):
+        if rng is not None:
+            return rng
+        if training:
+            raise ValueError("training forward needs an rng")
+        return derive_rng("eval", sample.sample_id)
+
+    def named_parameters(self) -> dict[str, T.Tensor]:
+        params = {}
+        for mid in self.modality_ids:
+            params.update(self.encoders[mid].named_parameters(f"encoder.{mid}"))
+        params.update(self.predictor.named_parameters("predictor"))
+        return params
+
+    def parameter_count(self) -> int:
+        return sum(p.data.size for p in self.named_parameters().values())
+
+
+class FusionModel(_ModelCore):
+    """Set fusion model: per-modality encoders, pooling, predictor.
+
+    ``config`` takes the ModelConfig fields as keywords, e.g. ``dim=64``.
+    """
+
+    def __init__(self, specs, num_classes: int, *, pool: str = "max", seed: int = 0,
+                 **config):
+        self.pool = pool
+        super().__init__(specs, num_classes, seed, config)
         self._mod_index = {m: i for i, m in enumerate(self.modality_ids)}
+
+    @property
+    def combined_dim(self) -> int:
+        return self.config.dim
 
     @property
     def pool(self) -> str:
@@ -315,10 +348,7 @@ class FusionModel:
         When no rng is given (inference), a stream derived from the sample
         id is used, so repeated calls are bit-identical.
         """
-        if rng is None:
-            if training:
-                raise ValueError("training forward needs an rng")
-            rng = derive_rng("eval", sample.sample_id)
+        rng = self._forward_rng(sample, training, rng)
         elements = build_set(sample, self.specs, rng)
         rows = []
         owners = np.empty(len(elements), dtype=np.int64)
@@ -333,62 +363,33 @@ class FusionModel:
             record = ImportanceRecord.from_counts(sample.sample_id, counts)
         return self.predictor(pooled), record
 
-    def named_parameters(self) -> dict[str, T.Tensor]:
-        params = {}
-        for mid in self.modality_ids:
-            params.update(self.encoders[mid].named_parameters(f"encoder.{mid}"))
-        params.update(self.predictor.named_parameters("predictor"))
-        return params
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.named_parameters().values())
-
-
-class ConcatModel:
+class ConcatModel(_ModelCore):
     """Fixed-slot concatenation baseline.
 
     Every modality owns ``slots[modality_id]`` encoder slots (default: its
     max_instances). Instances fill slots in arrival order, missing slots are
     exact zero blocks, and extra instances are dropped. The concatenated
     [1, sum(slots)*D] vector feeds an MLP. Deliberately not permutation
-    invariant.
+    invariant. ``config`` takes the ModelConfig fields as keywords.
     """
 
-    def __init__(self, specs, num_classes: int, dim: int = 32, slots=None,
-                 predictor_hidden=(32,), embed_dim: int = 16, num_filters: int = 16,
-                 kernel_widths=DEFAULT_KERNEL_WIDTHS, dropout_p: float = 0.25,
-                 class_prior: float = 0.01, seed: int = 0):
-        _check_specs(specs)
-        if num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        self.specs = tuple(sorted(specs, key=lambda s: s.modality_id))
-        self.modality_ids = tuple(s.modality_id for s in self.specs)
-        self.num_classes = num_classes
-        self.dim = dim
+    def __init__(self, specs, num_classes: int, *, slots=None, seed: int = 0, **config):
         self.slots = dict(slots) if slots else {s.modality_id: s.max_instances
-                                                for s in self.specs}
-        if set(self.slots) != set(self.modality_ids):
+                                                for s in specs}
+        if set(self.slots) != {s.modality_id for s in specs}:
             raise ValueError("slots must cover exactly the model's modalities")
-        self.predictor_hidden = tuple(predictor_hidden)
-        self.embed_dim = embed_dim
-        self.num_filters = num_filters
-        self.kernel_widths = tuple(kernel_widths)
-        self.dropout_p = dropout_p
-        self.class_prior = class_prior
-        self.seed = seed
-        rng = derive_rng(seed, "init")
-        self.encoders = _build_encoders(self.specs, dim, embed_dim, num_filters,
-                                        self.kernel_widths, dropout_p, rng)
-        self.concat_dim = sum(self.slots.values()) * dim
-        self.predictor = Mlp([self.concat_dim, *self.predictor_hidden, num_classes], rng,
-                             final_bias=init_classifier_bias(num_classes, class_prior))
+        super().__init__(specs, num_classes, seed, config)
+
+    @property
+    def concat_dim(self) -> int:
+        return sum(self.slots.values()) * self.config.dim
+
+    combined_dim = concat_dim
 
     def forward(self, sample, training: bool = False, rng=None):
         """Returns (logits [1,C], None); padding makes every sample total."""
-        if rng is None:
-            if training:
-                raise ValueError("training forward needs an rng")
-            rng = derive_rng("eval", sample.sample_id)
+        rng = self._forward_rng(sample, training, rng)
         parts = []
         for spec in self.specs:
             mid = spec.modality_id
@@ -397,18 +398,8 @@ class ConcatModel:
             for payload in got:
                 parts.append(self.encoders[mid].encode(payload, training, rng))
             for _ in range(self.slots[mid] - len(got)):
-                parts.append(T.Tensor(np.zeros((1, self.dim))))
+                parts.append(T.Tensor(np.zeros((1, self.config.dim))))
         return self.predictor(T.concat_cols(parts)), None
-
-    def named_parameters(self) -> dict[str, T.Tensor]:
-        params = {}
-        for mid in self.modality_ids:
-            params.update(self.encoders[mid].named_parameters(f"encoder.{mid}"))
-        params.update(self.predictor.named_parameters("predictor"))
-        return params
-
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.named_parameters().values())
 
 
 def aggregate_importance(records) -> dict[str, float]:

@@ -16,8 +16,44 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_int, check_real
 from .seeding import derive_rng, sample_rng
+
+
+@dataclass
+class TrainConfig:
+    """Optimizer, schedule and loop settings; the one place their defaults
+    live. A value of the wrong type or out of range raises ValueError."""
+
+    epochs: int = 25
+    batch_size: int = 32
+    peak_lr: float = 0.001
+    warmup_epochs: int = 5
+    min_lr: float = 0.0
+    weight_decay: float = 0.01
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    class_weighting: bool = False
+    seed: int = 0
+
+    def __post_init__(self):
+        check_int("epochs", self.epochs)
+        check_int("batch_size", self.batch_size)
+        self.schedule  # building it checks warmup_epochs, peak_lr and min_lr
+        check_real("weight_decay", self.weight_decay, 0.0)
+        check_real("beta1", self.beta1, 0.0, 1.0)
+        check_real("beta2", self.beta2, 0.0, 1.0)
+        check_real("eps", self.eps, 0.0, open_low=True)
+        check_int("seed", self.seed, 0)
+        if not isinstance(self.class_weighting, bool):
+            raise ValueError(f"class_weighting must be a bool, got {self.class_weighting!r}")
+
+    @property
+    def schedule(self) -> ScheduleConfig:
+        """The learning-rate schedule; building it validates its fields."""
+        return ScheduleConfig(total_epochs=self.epochs, warmup_epochs=self.warmup_epochs,
+                              peak_lr=self.peak_lr, min_lr=self.min_lr)
 
 
 @dataclass
@@ -25,18 +61,20 @@ class ScheduleConfig:
     """Linear warmup to ``peak_lr`` followed by cosine decay to ``min_lr``."""
 
     total_epochs: int
-    warmup_epochs: int = 5
-    peak_lr: float = 0.001
-    min_lr: float = 0.0
+    warmup_epochs: int = TrainConfig.warmup_epochs
+    peak_lr: float = TrainConfig.peak_lr
+    min_lr: float = TrainConfig.min_lr
 
     def __post_init__(self):
-        if not 0 <= self.warmup_epochs < self.total_epochs:
+        check_int("total_epochs", self.total_epochs)
+        check_int("warmup_epochs", self.warmup_epochs, 0)
+        if self.warmup_epochs >= self.total_epochs:
             raise ValueError(
                 f"warmup_epochs must lie in [0, total_epochs): "
                 f"{self.warmup_epochs} vs {self.total_epochs}"
             )
-        if not self.peak_lr > self.min_lr >= 0.0:
-            raise ValueError(f"need peak_lr > min_lr >= 0, got {self.peak_lr}, {self.min_lr}")
+        check_real("min_lr", self.min_lr, 0.0)
+        check_real("peak_lr", self.peak_lr, self.min_lr, open_low=True)
 
 
 def lr_at(schedule: ScheduleConfig, progress: float) -> float:
@@ -53,9 +91,9 @@ def lr_at(schedule: ScheduleConfig, progress: float) -> float:
 class AdamWState:
     """Per-parameter moment buffers plus the shared step counter."""
 
-    def __init__(self, params: dict[str, T.Tensor], base_lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict[str, T.Tensor], base_lr: float = TrainConfig.peak_lr,
+                 beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
+                 eps: float = TrainConfig.eps, weight_decay: float = TrainConfig.weight_decay):
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
@@ -73,16 +111,21 @@ def adamw_step(params: dict[str, T.Tensor], grads: dict[str, Optional[np.ndarray
     The decay is decoupled from the gradient term, so a zero-gradient step
     is a pure multiplicative shrink. A parameter with no gradient this step
     (grads entry None) still has its moments decayed and its decay applied.
+    Every gradient is checked before anything is updated, so a non-finite
+    one raises NumericError with the parameters, moments and step count
+    untouched.
     """
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
+    for name in params:
+        g = grads.get(name)
+        if g is not None and not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
     for name, p in params.items():
         g = grads.get(name)
-        if g is not None and not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
@@ -126,7 +169,7 @@ def weighted_sigmoid_ce(logits: T.Tensor, targets: np.ndarray, weights: np.ndarr
     return T.register_op(out, (logits,), backward_fn)
 
 
-def init_classifier_bias(num_classes: int, prior: float = 0.01) -> np.ndarray:
+def init_classifier_bias(num_classes: int, prior: float) -> np.ndarray:
     """[1,C] bias vector with every entry -log((1-prior)/prior)."""
     if not 0.0 < prior < 1.0:
         raise ValueError(f"prior must lie in (0, 1), got {prior}")
@@ -145,31 +188,6 @@ def inverse_sqrt_class_weights(label_matrix: np.ndarray) -> np.ndarray:
     counts = np.maximum(labels.sum(axis=0), 1.0)
     w = 1.0 / np.sqrt(counts / labels.shape[0])
     return w / w.mean()
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 25
-    batch_size: int = 32
-    peak_lr: float = 0.001
-    warmup_epochs: int = 5
-    min_lr: float = 0.0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    class_weighting: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ValueError(
-                f"warmup_epochs must lie in [0, epochs): "
-                f"{self.warmup_epochs} vs {self.epochs}")
 
 
 def _accuracy_terms(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
@@ -202,9 +220,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     state = AdamWState(params, base_lr=config.peak_lr, beta1=config.beta1,
                        beta2=config.beta2, eps=config.eps,
                        weight_decay=config.weight_decay)
-    schedule = ScheduleConfig(total_epochs=config.epochs,
-                              warmup_epochs=config.warmup_epochs,
-                              peak_lr=config.peak_lr, min_lr=config.min_lr)
+    schedule = config.schedule
     if config.class_weighting:
         weights = inverse_sqrt_class_weights(np.stack([s.labels for s in samples]))
     else:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,31 @@ def test_corrupt_file(tmp_path):
     (tmp_path / "bad.json").write_text("{")
     with pytest.raises(DataError, match="JSON"):
         load_checkpoint(tmp_path / "bad.json")
+
+
+def _drop_dim(obj):
+    del obj["dim"]
+    return obj
+
+
+def _truncate_first_param(obj):
+    entry = next(iter(obj["params"].values()))
+    entry["data"] = entry["data"][:-3]
+    return obj
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (_drop_dim, "missing field 'dim'"),
+    (_truncate_first_param, "malformed"),
+    (lambda obj: [1, 2], "JSON object"),
+    (lambda obj: {**obj, "dropout_p": 1.5}, "dropout_p"),
+    (lambda obj: {**obj, "kernel_widths": []}, "kernel_widths"),
+], ids=["missing-field", "truncated-base64", "not-an-object", "dropout-out-of-range",
+        "no-kernel-widths"])
+def test_malformed_checkpoint_is_data_error(tmp_path, corrupt, match):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(FusionModel(mixed_specs(), num_classes=2, dim=4, embed_dim=4,
+                                num_filters=3), path)
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)

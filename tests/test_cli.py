@@ -259,3 +259,28 @@ class TestFoldSizes:
         (run_dir,) = run_dirs(ev)
         report = json.loads((run_dir / "report.json").read_text())
         assert len(report["folds"]) == 2
+
+
+@pytest.mark.parametrize("command,config,flags,named", [
+    ("train", {"dim": "abc"}, [], "dim"),
+    ("train", {"dim": 0}, [], "dim"),
+    ("train", {"predictor_hidden": [0]}, [], "predictor_hidden"),
+    ("train", {"dropout_p": 1.5}, [], "dropout_p"),
+    ("train", {"class_prior": 1.5}, [], "class_prior"),
+    ("train", {"peak_lr": 0.0}, [], "peak_lr"),
+    ("train", {"kernel_widths": []}, [], "kernel_widths"),
+    ("eval", {}, ["--kfold", "1"], "kfold"),
+    ("eval", {}, ["--kfold", "100"], "kfold"),
+], ids=["dim-str", "dim-zero", "hidden-zero", "dropout", "class-prior", "peak-lr",
+        "no-kernel-widths", "kfold-1", "kfold-over-samples"])
+def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, config,
+                                                 flags, named):
+    data = gen_dataset(tmp_path)  # 40 samples
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    code = main([command, "--data", str(data), "--out", str(out), "--config", str(cfg),
+                 "--epochs", "1", "--warmup-epochs", "0", *flags])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()

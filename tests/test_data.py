@@ -101,6 +101,23 @@ class TestLoader:
         with pytest.raises(DataError, match="task"):
             load_dataset(*paths)
 
+    @pytest.mark.parametrize("field,value", [("input_dim", 8.5), ("input_dim", True),
+                                             ("max_instances", 2.0)])
+    def test_manifest_spec_integers_checked(self, tmp_path, field, value):
+        obj = small_manifest().to_dict()
+        obj["modalities"][0][field] = value
+        paths = write_dataset(tmp_path, obj, [sample_line()])
+        with pytest.raises(DataError, match=rf"modalities\[0\].*{field}") as info:
+            load_dataset(*paths)
+        assert info.value.sample_id is None  # not blamed on a sample
+
+    @pytest.mark.parametrize("labels", [[True, False], [1.0, 0.0]])
+    def test_labels_must_be_integer_zero_one(self, tmp_path, labels):
+        paths = write_dataset(tmp_path, small_manifest().to_dict(),
+                              [sample_line(labels=labels)])
+        with pytest.raises(DataError, match="s1.*labels"):
+            load_dataset(*paths)
+
     def test_group_field_roundtrip(self, tmp_path):
         line = sample_line(group="equiv")
         paths = write_dataset(tmp_path, small_manifest().to_dict(), [line])

@@ -107,6 +107,16 @@ class TestAdamW:
         with pytest.raises(NumericError, match="theta"):
             adamw_step(params, {"theta": np.array([[np.nan]])}, state, lr=0.01)
 
+    def test_nonfinite_gradient_updates_nothing(self):
+        params = {"a": T.parameter([[1.0]]), "b": T.parameter([[2.0]])}
+        state = AdamWState(params)
+        grads = {"a": np.ones((1, 1)), "b": np.array([[np.inf]])}
+        with pytest.raises(NumericError, match="'b'"):
+            adamw_step(params, grads, state, lr=0.1)
+        assert params["a"].data[0, 0] == 1.0 and params["b"].data[0, 0] == 2.0
+        assert state.t == 0
+        assert not state.m["a"].any() and not state.v["a"].any()
+
     def test_missing_gradient_still_decays(self):
         params = _scalar_params(3.0)
         state = AdamWState(params, weight_decay=0.1)
