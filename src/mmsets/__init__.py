@@ -12,8 +12,8 @@ from .fusion import (ConcatModel, FusionModel, ImportanceRecord, ModalitySpec, M
 from .metrics import (EvalReport, UndefinedMetricError, accuracy_suite, export_fim,
                       f1_suite, roc_auc)
 from .tensor import POOL_MODES, Tape, Tensor, backward
-from .training import (AdamWState, ScheduleConfig, TrainConfig, adamw_step,
-                       init_classifier_bias, inverse_sqrt_class_weights, kfold_split,
-                       lr_at, train, weighted_sigmoid_ce)
+from .training import (AdamWState, TrainConfig, adamw_step, init_classifier_bias,
+                       inverse_sqrt_class_weights, kfold_split, lr_at, train,
+                       weighted_sigmoid_ce)
 
 __version__ = "0.1.0"

@@ -197,6 +197,8 @@ def cmd_eval(args) -> int:
     manifest, samples, resolved, build_model, train_config = _prepare(
         args, EVAL_DEFAULTS, {"kfold": args.kfold, "importance": args.importance or None,
                               "checkpoint": args.checkpoint})
+    if not isinstance(resolved["importance"], bool):
+        raise ConfigError(f"importance must be a bool, got {resolved['importance']!r}")
     if resolved["importance"]:
         if resolved["baseline"] == "concat":
             raise ConfigError("--importance is not defined for the concat baseline")

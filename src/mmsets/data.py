@@ -259,27 +259,30 @@ class SyntheticConfig:
         check_int("num_modalities", self.num_modalities)
         if self.feature_dims is None:
             self.feature_dims = (8,) * self.num_modalities
+        if not isinstance(self.feature_dims, (list, tuple)):
+            raise ValueError(f"feature_dims must be a list of integers, got {self.feature_dims!r}")
+        for i, v in enumerate(self.feature_dims):
+            check_int(f"feature_dims[{i}]", v)
         self.feature_dims = tuple(int(v) for v in self.feature_dims)
         if len(self.feature_dims) != self.num_modalities:
             raise ValueError("feature_dims must have one entry per modality")
-        if any(v < 1 for v in self.feature_dims):
-            raise ValueError("feature_dims must be positive")
         check_int("min_instances", self.min_instances)
         check_int("max_instances", self.max_instances, self.min_instances)
         ids = self.modality_ids()
         if self.informative_modality not in ids:
             raise ValueError(
                 f"informative_modality {self.informative_modality!r} not in {ids}")
-        if isinstance(self.missing_rates, (int, float)):
-            self.missing_rates = tuple(
-                0.0 if mid == self.informative_modality else float(self.missing_rates)
-                for mid in ids)
+        rates = self.missing_rates
+        if isinstance(rates, (list, tuple)):
+            for i, v in enumerate(rates):
+                check_real(f"missing_rates[{i}]", v, 0.0, 1.0)
+            self.missing_rates = tuple(float(v) for v in rates)
         else:
-            self.missing_rates = tuple(float(v) for v in self.missing_rates)
+            check_real("missing_rates", rates, 0.0, 1.0)
+            self.missing_rates = tuple(
+                0.0 if mid == self.informative_modality else float(rates) for mid in ids)
         if len(self.missing_rates) != self.num_modalities:
             raise ValueError("missing_rates must have one entry per modality")
-        if any(not 0.0 <= v < 1.0 for v in self.missing_rates):
-            raise ValueError("missing_rates must lie in [0, 1)")
         if self.missing_rates[ids.index(self.informative_modality)] != 0.0:
             raise ValueError("the informative modality must never be missing")
         check_real("noise_scale", self.noise_scale, 0.0)

@@ -180,7 +180,7 @@ class DenseEncoder:
                 f"modality {self.spec.modality_id!r} expects a vector of length "
                 f"{self.spec.input_dim}, got shape {x.shape}"
             )
-        h = T.elu(T.add(T.matmul(T.Tensor(x[None, :]), self.weight), self.bias))
+        h = T.elu(T.linear(T.Tensor(x[None, :]), self.weight, self.bias))
         return T.dropout(h, self.dropout_p, training, rng)
 
     def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
@@ -229,7 +229,7 @@ class SequenceEncoder:
             conv = T.conv1d_over_sequence(emb, self.kernels[w])
             best, _ = T.reduce_over_set(conv, "max")
             pooled.append(best)
-        h = T.elu(T.add(T.matmul(T.concat_cols(pooled), self.projection), self.bias))
+        h = T.elu(T.linear(T.concat(pooled, axis=1), self.projection, self.bias))
         return T.dropout(h, self.dropout_p, training, rng)
 
     def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
@@ -256,7 +256,7 @@ class Mlp:
     def __call__(self, x: T.Tensor) -> T.Tensor:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = T.add(T.matmul(x, w), b)
+            x = T.linear(x, w, b)
             if i != last:
                 x = T.elu(x)
         return x
@@ -355,7 +355,7 @@ class FusionModel(_ModelCore):
         for i, (mid, payload) in enumerate(elements):
             rows.append(self.encoders[mid].encode(payload, training, rng))
             owners[i] = self._mod_index[mid]
-        pooled, argidx = T.reduce_over_set(T.stack_rows(rows), self.pool)
+        pooled, argidx = T.reduce_over_set(T.concat(rows, axis=0), self.pool)
         record = None
         if argidx is not None:
             won = np.bincount(owners[argidx], minlength=len(self.modality_ids))
@@ -399,7 +399,7 @@ class ConcatModel(_ModelCore):
                 parts.append(self.encoders[mid].encode(payload, training, rng))
             for _ in range(self.slots[mid] - len(got)):
                 parts.append(T.Tensor(np.zeros((1, self.config.dim))))
-        return self.predictor(T.concat_cols(parts)), None
+        return self.predictor(T.concat(parts, axis=1)), None
 
 
 def aggregate_importance(records) -> dict[str, float]:

@@ -2,8 +2,9 @@
 
 Every operation computes eagerly with numpy and, while a Tape is active,
 records a backward rule. Shapes are always explicit; the only broadcast in
-the whole module is the row-wise bias add. Gradient buffers persist until
-reset, so minibatch accumulation is just a sequence of backward calls.
+the whole module is the bias that ``linear`` adds to every row. Gradient
+buffers persist until reset, so minibatch accumulation is just a sequence of
+backward calls.
 """
 
 from __future__ import annotations
@@ -131,74 +132,29 @@ def backward(loss: Tensor) -> None:
 # operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shapes do not chain: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map ``x @ weight + bias`` for x [n,m], weight [m,d], bias [1,d].
 
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
-        if _tracked(a):
-            accumulate_grad(a, g @ b.data.T)
-        if _tracked(b):
-            accumulate_grad(b, a.data.T @ g)
-
-    return register_op(out, (a, b), backward_fn)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data)
-
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
-        if _tracked(a):
-            accumulate_grad(a, g)
-        if _tracked(b):
-            accumulate_grad(b, g)
-
-    return register_op(out, (a, b), backward_fn)
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Row-wise bias add, the single sanctioned broadcast: [n,m] + [1,m]."""
-    if x.data.ndim != 2 or bias.data.shape != (1, x.data.shape[1]):
-        raise ValueError(f"bias shape {bias.data.shape} does not fit rows of {x.data.shape}")
-    out = Tensor(x.data + bias.data)
+    The bias is added to every row of the product; its gradient sums over
+    the rows.
+    """
+    xs, ws, bs = x.data.shape, weight.data.shape, bias.data.shape
+    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or bs != (1, ws[1]):
+        raise ValueError(f"linear shapes do not fit: x {xs}, weight {ws}, bias {bs}")
+    out = Tensor(x.data @ weight.data + bias.data)
 
     def backward_fn():
         g = out.grad
         if g is None:
             return
         if _tracked(x):
-            accumulate_grad(x, g)
+            accumulate_grad(x, g @ weight.data.T)
+        if _tracked(weight):
+            accumulate_grad(weight, x.data.T @ g)
         if _tracked(bias):
             accumulate_grad(bias, g.sum(axis=0, keepdims=True))
 
-    return register_op(out, (x, bias), backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
-
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
-        if _tracked(a):
-            accumulate_grad(a, g * b.data)
-        if _tracked(b):
-            accumulate_grad(b, g * a.data)
-
-    return register_op(out, (a, b), backward_fn)
+    return register_op(out, (x, weight, bias), backward_fn)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -242,19 +198,6 @@ def sigmoid_values(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = sigmoid_values(x.data)
-    out = Tensor(out_data)
-
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(x):
-            return
-        accumulate_grad(x, g * out_data * (1.0 - out_data))
-
-    return register_op(out, (x,), backward_fn)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -385,56 +328,25 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     return register_op(out, (table,), backward_fn)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate [1,d_i] tensors into a single [1, sum(d_i)] row."""
-    if not parts:
-        raise ValueError("concat_cols needs at least one tensor")
-    for t in parts:
-        if t.data.ndim != 2 or t.data.shape[0] != 1:
-            raise ValueError(f"concat_cols expects [1,d] rows, got shape {t.data.shape}")
-    out = Tensor(np.concatenate([t.data for t in parts], axis=1))
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in parts])
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join 2-D tensors along ``axis``: 0 stacks rows, 1 joins columns."""
+    if axis not in (0, 1):
+        raise ValueError(f"concat axis must be 0 or 1, got {axis!r}")
+    shapes = [t.data.shape for t in parts]
+    if not parts or any(len(sh) != 2 or sh[1 - axis] != shapes[0][1 - axis] for sh in shapes):
+        raise ValueError(f"concat along axis {axis} needs matching 2-D tensors, got {shapes}")
+    out = Tensor(np.concatenate([t.data for t in parts], axis=axis))
 
     def backward_fn():
         g = out.grad
         if g is None:
             return
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        g_rows = g.swapaxes(0, axis)  # join axis first: each part is a run of rows
+        lo = 0
+        for t, sh in zip(parts, shapes):
+            hi = lo + sh[axis]
             if _tracked(t):
-                accumulate_grad(t, g[:, lo:hi])
+                accumulate_grad(t, g_rows[lo:hi].swapaxes(0, axis))
+            lo = hi
 
     return register_op(out, tuple(parts), backward_fn)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack [1,D] tensors into an [S,D] matrix, one row per element."""
-    if not rows:
-        raise EmptySetError("cannot stack an empty list of rows")
-    width = rows[0].data.shape
-    for t in rows:
-        if t.data.ndim != 2 or t.data.shape[0] != 1 or t.data.shape != width:
-            raise ValueError(f"stack_rows expects matching [1,D] rows, got {t.data.shape}")
-    out = Tensor(np.concatenate([t.data for t in rows], axis=0))
-
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
-        for i, t in enumerate(rows):
-            if _tracked(t):
-                accumulate_grad(t, g[i:i + 1])
-
-    return register_op(out, tuple(rows), backward_fn)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum every element into a [1,1] scalar tensor."""
-    out = Tensor([[x.data.sum()]])
-
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(x):
-            return
-        accumulate_grad(x, np.full_like(x.data, g[0, 0]))
-
-    return register_op(out, (x,), backward_fn)

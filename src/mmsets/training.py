@@ -40,7 +40,13 @@ class TrainConfig:
     def __post_init__(self):
         check_int("epochs", self.epochs)
         check_int("batch_size", self.batch_size)
-        self.schedule  # building it checks warmup_epochs, peak_lr and min_lr
+        check_int("warmup_epochs", self.warmup_epochs, 0)
+        if self.warmup_epochs >= self.epochs:
+            raise ValueError(
+                f"warmup_epochs must lie in [0, epochs): {self.warmup_epochs} vs {self.epochs}"
+            )
+        check_real("min_lr", self.min_lr, 0.0)
+        check_real("peak_lr", self.peak_lr, self.min_lr, open_low=True)
         check_real("weight_decay", self.weight_decay, 0.0)
         check_real("beta1", self.beta1, 0.0, 1.0)
         check_real("beta2", self.beta2, 0.0, 1.0)
@@ -49,55 +55,28 @@ class TrainConfig:
         if not isinstance(self.class_weighting, bool):
             raise ValueError(f"class_weighting must be a bool, got {self.class_weighting!r}")
 
-    @property
-    def schedule(self) -> ScheduleConfig:
-        """The learning-rate schedule; building it validates its fields."""
-        return ScheduleConfig(total_epochs=self.epochs, warmup_epochs=self.warmup_epochs,
-                              peak_lr=self.peak_lr, min_lr=self.min_lr)
 
-
-@dataclass
-class ScheduleConfig:
-    """Linear warmup to ``peak_lr`` followed by cosine decay to ``min_lr``."""
-
-    total_epochs: int
-    warmup_epochs: int = TrainConfig.warmup_epochs
-    peak_lr: float = TrainConfig.peak_lr
-    min_lr: float = TrainConfig.min_lr
-
-    def __post_init__(self):
-        check_int("total_epochs", self.total_epochs)
-        check_int("warmup_epochs", self.warmup_epochs, 0)
-        if self.warmup_epochs >= self.total_epochs:
-            raise ValueError(
-                f"warmup_epochs must lie in [0, total_epochs): "
-                f"{self.warmup_epochs} vs {self.total_epochs}"
-            )
-        check_real("min_lr", self.min_lr, 0.0)
-        check_real("peak_lr", self.peak_lr, self.min_lr, open_low=True)
-
-
-def lr_at(schedule: ScheduleConfig, progress: float) -> float:
-    """Learning rate at fractional epoch ``progress`` in [0, total_epochs]."""
-    s = schedule
-    if not 0.0 <= progress <= s.total_epochs:
-        raise ValueError(f"progress {progress} outside [0, {s.total_epochs}]")
-    if progress < s.warmup_epochs:
-        return s.peak_lr * progress / s.warmup_epochs
-    frac = (progress - s.warmup_epochs) / (s.total_epochs - s.warmup_epochs)
-    return s.min_lr + 0.5 * (s.peak_lr - s.min_lr) * (1.0 + math.cos(math.pi * frac))
+def lr_at(config: TrainConfig, progress: float) -> float:
+    """Learning rate at fractional epoch ``progress`` in [0, epochs]: linear
+    warmup to ``peak_lr``, then cosine decay to ``min_lr``."""
+    c = config
+    if not 0.0 <= progress <= c.epochs:
+        raise ValueError(f"progress {progress} outside [0, {c.epochs}]")
+    if progress < c.warmup_epochs:
+        return c.peak_lr * progress / c.warmup_epochs
+    frac = (progress - c.warmup_epochs) / (c.epochs - c.warmup_epochs)
+    return c.min_lr + 0.5 * (c.peak_lr - c.min_lr) * (1.0 + math.cos(math.pi * frac))
 
 
 class AdamWState:
     """Per-parameter moment buffers plus the shared step counter."""
 
-    def __init__(self, params: dict[str, T.Tensor], base_lr: float = TrainConfig.peak_lr,
-                 beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
-                 eps: float = TrainConfig.eps, weight_decay: float = TrainConfig.weight_decay):
+    def __init__(self, params: dict[str, T.Tensor], beta1: float = TrainConfig.beta1,
+                 beta2: float = TrainConfig.beta2, eps: float = TrainConfig.eps,
+                 weight_decay: float = TrainConfig.weight_decay):
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
-        self.base_lr = base_lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -217,10 +196,8 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     if not samples:
         raise DataError("cannot train on an empty dataset")
     params = model.named_parameters()
-    state = AdamWState(params, base_lr=config.peak_lr, beta1=config.beta1,
-                       beta2=config.beta2, eps=config.eps,
+    state = AdamWState(params, beta1=config.beta1, beta2=config.beta2, eps=config.eps,
                        weight_decay=config.weight_decay)
-    schedule = config.schedule
     if config.class_weighting:
         weights = inverse_sqrt_class_weights(np.stack([s.labels for s in samples]))
     else:
@@ -229,7 +206,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     history = []
     n = len(samples)
     for epoch in range(config.epochs):
-        lr = lr_at(schedule, epoch)
+        lr = lr_at(config, epoch)
         order = derive_rng(config.seed, "shuffle", epoch).permutation(n)
         loss_sum = 0.0
         acc_sum = 0.0

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracles and tiny fixtures.
+"""Shared test utilities: finite-difference oracles, tiny fixtures, and the
+differentiable ops only tests use.
 
 The gradient oracle is deliberately independent of the tape: it re-runs a
 value-only forward with each parameter entry nudged up and down.
@@ -8,6 +9,7 @@ import numpy as np
 
 from mmsets.data import ModalityInstance, Sample
 from mmsets.fusion import ModalitySpec
+from mmsets.tensor import Tensor, _tracked, accumulate_grad, register_op, sigmoid_values
 
 
 def central_diff(f, array: np.ndarray, h: float) -> np.ndarray:
@@ -74,3 +76,51 @@ def shuffled_copy(sample: Sample, rng: np.random.Generator) -> Sample:
     return Sample(sample_id=sample.sample_id,
                   instances=[sample.instances[i] for i in order],
                   labels=sample.labels, group=sample.group)
+
+
+# ---------------------------------------------------------------------------
+# test-only tensor ops, built on the same extension point as the models' ops
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of same-shape tensors."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
+    out = Tensor(a.data * b.data)
+
+    def backward_fn():
+        g = out.grad
+        if g is None:
+            return
+        if _tracked(a):
+            accumulate_grad(a, g * b.data)
+        if _tracked(b):
+            accumulate_grad(b, g * a.data)
+
+    return register_op(out, (a, b), backward_fn)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_data = sigmoid_values(x.data)
+    out = Tensor(out_data)
+
+    def backward_fn():
+        g = out.grad
+        if g is None or not _tracked(x):
+            return
+        accumulate_grad(x, g * out_data * (1.0 - out_data))
+
+    return register_op(out, (x,), backward_fn)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Sum every element into a [1,1] scalar tensor."""
+    out = Tensor([[x.data.sum()]])
+
+    def backward_fn():
+        g = out.grad
+        if g is None or not _tracked(x):
+            return
+        accumulate_grad(x, np.full_like(x.data, g[0, 0]))
+
+    return register_op(out, (x,), backward_fn)

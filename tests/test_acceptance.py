@@ -14,7 +14,7 @@ from mmsets.evaluate import evaluate_model
 from mmsets.fusion import (ConcatModel, FusionModel, ModalitySpec,
                            aggregate_importance, build_set)
 from mmsets.metrics import accuracy_suite, f1_suite, roc_auc
-from mmsets.training import (AdamWState, ScheduleConfig, TrainConfig, adamw_step,
+from mmsets.training import (AdamWState, TrainConfig, adamw_step,
                              init_classifier_bias, kfold_split, lr_at, train,
                              weighted_sigmoid_ce)
 from helpers import central_diff, max_rel_err, shuffled_copy
@@ -232,7 +232,7 @@ def test_criterion_5_missing_modality_and_cardinality_robustness():
 
 
 def test_criterion_6_training_recipe_conformance():
-    sched = ScheduleConfig(total_epochs=25, warmup_epochs=5, peak_lr=0.001)
+    sched = TrainConfig(epochs=25, warmup_epochs=5, peak_lr=0.001)
     ok_zero = lr_at(sched, 0.0) == 0.0
     ok_peak = lr_at(sched, 5.0) == 0.001
     eps = 1e-9

@@ -271,16 +271,21 @@ class TestFoldSizes:
     ("train", {"kernel_widths": []}, [], "kernel_widths"),
     ("eval", {}, ["--kfold", "1"], "kfold"),
     ("eval", {}, ["--kfold", "100"], "kfold"),
+    ("eval", {"importance": "no"}, ["--kfold", "2"], "importance"),
+    ("gen-synthetic", {"feature_dims": [8.5, 8, 8, 8]}, [], "feature_dims[0]"),
+    ("gen-synthetic", {"missing_rates": "x"}, [], "missing_rates"),
 ], ids=["dim-str", "dim-zero", "hidden-zero", "dropout", "class-prior", "peak-lr",
-        "no-kernel-widths", "kfold-1", "kfold-over-samples"])
+        "no-kernel-widths", "kfold-1", "kfold-over-samples", "importance-str",
+        "feature-dims-float", "missing-rates-str"])
 def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, config,
                                                  flags, named):
-    data = gen_dataset(tmp_path)  # 40 samples
+    if command != "gen-synthetic":
+        data = gen_dataset(tmp_path)  # 40 samples
+        flags = ["--data", str(data), "--epochs", "1", "--warmup-epochs", "0", *flags]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "runs"
-    code = main([command, "--data", str(data), "--out", str(out), "--config", str(cfg),
-                 "--epochs", "1", "--warmup-epochs", "0", *flags])
+    code = main([command, "--out", str(out), "--config", str(cfg), *flags])
     assert code == 1
     assert named in capsys.readouterr().err
     assert not out.exists()

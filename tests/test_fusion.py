@@ -4,9 +4,10 @@ import pytest
 import mmsets.tensor as T
 from mmsets.data import ModalityInstance, Sample
 from mmsets.errors import EmptySetError
-from mmsets.fusion import (ConcatModel, FusionModel, ImportanceRecord, ModalitySpec,
-                           aggregate_importance, build_set)
-from helpers import central_diff, max_rel_err, mixed_specs, random_sample, shuffled_copy
+from mmsets.fusion import (ConcatModel, DenseEncoder, FusionModel, ImportanceRecord, Mlp,
+                           ModalitySpec, ModelConfig, aggregate_importance, build_set)
+from helpers import (central_diff, max_rel_err, mixed_specs, random_sample, shuffled_copy,
+                     sum_all)
 
 
 def make_sample(payloads_by_mod, sample_id="s0", num_classes=2):
@@ -122,6 +123,18 @@ class TestEncoders:
         out = model.encoders["obj"].encode(np.array([2]), training=False, rng=None)
         assert out.data.shape == (1, 8)
 
+    def test_tape_records_per_layer(self):
+        # each affine layer is one linear op: a dense element records
+        # linear, ELU and dropout; a one-hidden-layer MLP linear, ELU, linear
+        rng = np.random.default_rng(0)
+        encoder = DenseEncoder(ModalitySpec("img", "dense", input_dim=6), ModelConfig(dim=8), rng)
+        predictor = Mlp([8, 5, 2], rng)
+        with T.Tape() as tape:
+            h = encoder.encode(np.arange(6.0), training=True, rng=rng)
+            assert len(tape) == 3
+            predictor(h)
+            assert len(tape) == 6
+
     def test_encoder_gradients_match_fd(self):
         specs = mixed_specs()
         model = FusionModel(specs, num_classes=2, dim=6, embed_dim=4, num_filters=3,
@@ -135,7 +148,7 @@ class TestEncoders:
 
         with T.Tape():
             logits, _ = model.forward(sample, training=False)
-            loss = T.sum_all(logits)
+            loss = sum_all(logits)
         T.backward(loss)
         for name, p in model.named_parameters().items():
             numeric = central_diff(loss_value, p.data, h=1e-5)

@@ -5,44 +5,64 @@ import pytest
 
 import mmsets.tensor as T
 from mmsets.errors import EmptySetError
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, max_rel_err, mul, sigmoid, sum_all
 
 
 def scalar_loss(fn):
     """Run fn under a tape, reduce to sum, backprop; returns the loss tensor."""
     with T.Tape():
         out = fn()
-        loss = T.sum_all(out)
+        loss = sum_all(out)
     T.backward(loss)
     return loss
 
 
-class TestMatmul:
+class TestLinear:
     def test_basic_product(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = T.Tensor([[1.0], [1.0]])
-        assert T.matmul(a, b).data.tolist() == [[3.0], [7.0]]
+        assert T.linear(a, b, T.Tensor([[0.0]])).data.tolist() == [[3.0], [7.0]]
+        assert T.linear(a, b, T.Tensor([[0.5]])).data.tolist() == [[3.5], [7.5]]
 
     def test_identity(self):
         rng = np.random.default_rng(0)
         a = T.Tensor(rng.standard_normal((3, 3)))
-        out = T.matmul(a, T.Tensor(np.eye(3)))
+        out = T.linear(a, T.Tensor(np.eye(3)), T.Tensor(np.zeros((1, 3))))
         np.testing.assert_array_equal(out.data, a.data)
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
+    def test_shape_mismatch_names_all_three_shapes(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\).*\(1, 3\)"):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))),
+                     T.Tensor(np.zeros((1, 3))))
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 4\).*\(2, 4\)"):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4))),
+                     T.Tensor(np.zeros((2, 4))))
+
+    def test_bias_broadcasts_rows(self):
+        x = T.parameter(np.zeros((3, 2)))
+        b = T.parameter([[1.0, 2.0]])
+        with T.Tape():
+            out = T.linear(x, T.Tensor(np.eye(2)), b)
+            loss = sum_all(out)
+        T.backward(loss)
+        np.testing.assert_array_equal(out.data, [[1, 2]] * 3)
+        np.testing.assert_array_equal(b.grad, [[3.0, 3.0]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        a = T.parameter(rng.standard_normal((3, 4)))
-        b = T.parameter(rng.standard_normal((4, 2)))
-        scalar_loss(lambda: T.matmul(a, b))
+        x = T.parameter(rng.standard_normal((3, 4)))
+        w = T.parameter(rng.standard_normal((4, 2)))
+        b = T.parameter(rng.standard_normal((1, 2)))
+        # weight every output entry differently, so each bias entry's row sum shows
+        mix = rng.standard_normal((3, 2))
+        with T.Tape():
+            loss = sum_all(mul(T.linear(x, w, b), T.Tensor(mix)))
+        T.backward(loss)
 
         def value():
-            return float((a.data @ b.data).sum())
+            return float(((x.data @ w.data + b.data) * mix).sum())
 
-        for p in (a, b):
+        for p in (x, w, b):
             numeric = central_diff(value, p.data, h=1e-6)
             assert max_rel_err(p.grad, numeric) < 1e-6
 
@@ -73,23 +93,23 @@ class TestElu:
 
 class TestSigmoid:
     def test_zero_is_half(self):
-        assert T.sigmoid(T.Tensor([[0.0]])).data[0, 0] == 0.5
+        assert sigmoid(T.Tensor([[0.0]])).data[0, 0] == 0.5
 
     def test_symmetry_identity(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((1, 20)) * 5
-        total = T.sigmoid(T.Tensor(z)).data + T.sigmoid(T.Tensor(-z)).data
+        total = sigmoid(T.Tensor(z)).data + sigmoid(T.Tensor(-z)).data
         np.testing.assert_allclose(total, 1.0, atol=1e-15)
 
     def test_stable_for_large_inputs(self):
-        out = T.sigmoid(T.Tensor([[1000.0, -1000.0]]))
+        out = sigmoid(T.Tensor([[1000.0, -1000.0]]))
         assert out.data[0, 0] == 1.0
         assert out.data[0, 1] == 0.0
 
     def test_gradient_matches_closed_form_and_fd(self):
         rng = np.random.default_rng(4)
         x = T.parameter(rng.standard_normal((1, 8)))
-        scalar_loss(lambda: T.sigmoid(x))
+        scalar_loss(lambda: sigmoid(x))
         s = T.sigmoid_values(x.data)
         np.testing.assert_allclose(x.grad, s * (1 - s), atol=1e-12)
         numeric = central_diff(lambda: float(T.sigmoid_values(x.data).sum()),
@@ -157,7 +177,7 @@ class TestReduceOverSet:
         x = T.parameter([[1.0, 3.0], [2.0, 1.0]])
         with T.Tape():
             out, _ = T.reduce_over_set(x, "max")
-            loss = T.sum_all(out)  # upstream gradient [1, 1]
+            loss = sum_all(out)  # upstream gradient [1, 1]
         T.backward(loss)
         assert x.grad.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -167,7 +187,7 @@ class TestReduceOverSet:
             x = T.parameter(rng.standard_normal((5, 4)))
             with T.Tape():
                 out, arg = T.reduce_over_set(x, mode)
-                loss = T.sum_all(out)
+                loss = sum_all(out)
             T.backward(loss)
             selected = np.zeros_like(x.data, dtype=bool)
             selected[arg, np.arange(4)] = True
@@ -264,42 +284,54 @@ class TestEmbeddingLookup:
         table = T.parameter(np.zeros((4, 2)))
         with T.Tape():
             out = T.embedding_lookup(table, np.array([1, 1, 3]))
-            loss = T.sum_all(out)
+            loss = sum_all(out)
         T.backward(loss)
         np.testing.assert_array_equal(table.grad,
                                       [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
 class TestStructuralOps:
-    def test_add_bias_broadcasts_rows(self):
-        x = T.parameter(np.zeros((3, 2)))
-        b = T.parameter([[1.0, 2.0]])
-        with T.Tape():
-            out = T.add_bias(x, b)
-            loss = T.sum_all(out)
-        T.backward(loss)
-        np.testing.assert_array_equal(out.data, [[1, 2]] * 3)
-        np.testing.assert_array_equal(b.grad, [[3.0, 3.0]])
-
     def test_concat_and_stack_gradients(self):
         rng = np.random.default_rng(13)
         parts = [T.parameter(rng.standard_normal((1, k))) for k in (2, 3)]
-        scalar_loss(lambda: T.concat_cols(parts))
+        scalar_loss(lambda: T.concat(parts, axis=1))
         for p in parts:
             np.testing.assert_array_equal(p.grad, np.ones_like(p.data))
         rows = [T.parameter(rng.standard_normal((1, 4))) for _ in range(3)]
         with T.Tape():
-            stacked = T.stack_rows(rows)
+            stacked = T.concat(rows, axis=0)
             out, _ = T.reduce_over_set(stacked, "mean")
-            loss = T.sum_all(out)
+            loss = sum_all(out)
         T.backward(loss)
         for r in rows:
             np.testing.assert_allclose(r.grad, np.full((1, 4), 1 / 3), atol=1e-15)
+        # multi-row and multi-column parts: each gets its own block of upstream
+        upstream = rng.standard_normal((6, 6))
+        cases = [(0, [(1, 3), (2, 3), (3, 3)], [np.s_[0:1, 0:3], np.s_[1:3, 0:3], np.s_[3:6, 0:3]]),
+                 (1, [(2, 1), (2, 3), (2, 2)], [np.s_[0:2, 0:1], np.s_[0:2, 1:4], np.s_[0:2, 4:6]])]
+        for axis, shapes, cuts in cases:
+            blocks = [T.parameter(rng.standard_normal(sh)) for sh in shapes]
+            up = upstream[:6, :3] if axis == 0 else upstream[:2, :6]
+            with T.Tape():
+                joined = T.concat(blocks, axis=axis)
+                loss = sum_all(mul(joined, T.Tensor(up)))
+            T.backward(loss)
+            for b, cut in zip(blocks, cuts):
+                np.testing.assert_array_equal(joined.data[cut], b.data)
+                np.testing.assert_array_equal(b.grad, up[cut])
+
+    def test_concat_rejects_mismatched_parts_and_bad_axis(self):
+        with pytest.raises(ValueError, match=r"\(1, 2\).*\(1, 3\)"):
+            T.concat([T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 3)))], axis=0)
+        with pytest.raises(ValueError, match="axis"):
+            T.concat([T.Tensor(np.zeros((1, 2)))], axis=2)
+        with pytest.raises(ValueError):
+            T.concat([], axis=1)
 
     def test_mul_and_scale(self):
         x = T.parameter([[2.0, -3.0]])
         with T.Tape():
-            loss = T.sum_all(T.scale(T.mul(x, x), 0.5))
+            loss = sum_all(T.scale(mul(x, x), 0.5))
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, x.data)
 
@@ -313,7 +345,7 @@ class TestBackward:
     def test_elementwise_square_gives_two_x(self):
         x = T.parameter(np.arange(6.0).reshape(2, 3))
         with T.Tape():
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * x.data)
 
@@ -333,7 +365,7 @@ class TestBackward:
     def test_repeated_backward_accumulates(self):
         x = T.parameter(np.ones((2, 2)))
         with T.Tape():
-            loss = T.sum_all(x)
+            loss = sum_all(x)
         T.backward(loss)
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
@@ -345,8 +377,8 @@ class TestBackward:
                     pass
 
 
-def _random_graph_value(x_data, w_data, mode):
-    h = x_data @ w_data
+def _random_graph_value(x_data, w_data, b_data, mode):
+    h = x_data @ w_data + b_data
     h = np.where(h > 0, h, np.expm1(h))
     if mode == "sum":
         r = h.sum(axis=0)
@@ -366,13 +398,14 @@ def test_gradcheck_fifty_random_instances():
         mode = T.POOL_MODES[trial % 4]
         x = T.parameter(rng.standard_normal((4, 3)))
         w = T.parameter(rng.standard_normal((3, 5)))
+        b = T.parameter(rng.standard_normal((1, 5)))
         with T.Tape():
-            h = T.elu(T.matmul(x, w))
+            h = T.elu(T.linear(x, w, b))
             r, _ = T.reduce_over_set(h, mode)
-            loss = T.sum_all(T.sigmoid(r))
+            loss = sum_all(sigmoid(r))
         T.backward(loss)
-        for p in (x, w):
-            numeric = central_diff(lambda: _random_graph_value(x.data, w.data, mode),
+        for p in (x, w, b):
+            numeric = central_diff(lambda: _random_graph_value(x.data, w.data, b.data, mode),
                                    p.data, h=1e-6)
             assert max_rel_err(p.grad, numeric) < 1e-4
 
@@ -385,10 +418,10 @@ def test_tape_replay_determinism():
         x = T.parameter(rng.standard_normal((3, 4)))
         w = T.parameter(rng.standard_normal((4, 2)))
         with T.Tape():
-            h = T.dropout(T.elu(T.matmul(x, w)), 0.25, training=True,
-                          rng=np.random.default_rng(7))
+            h = T.dropout(T.elu(T.linear(x, w, T.Tensor(np.zeros((1, 2))))), 0.25,
+                          training=True, rng=np.random.default_rng(7))
             out, _ = T.reduce_over_set(h, "max")
-            loss = T.sum_all(out)
+            loss = sum_all(out)
         T.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 

@@ -7,7 +7,7 @@ import mmsets.tensor as T
 from mmsets.data import ModalityInstance, Sample
 from mmsets.errors import DataError, NumericError
 from mmsets.fusion import FusionModel, ModalitySpec
-from mmsets.training import (AdamWState, ScheduleConfig, TrainConfig, adamw_step,
+from mmsets.training import (AdamWState, TrainConfig, adamw_step,
                              init_classifier_bias, inverse_sqrt_class_weights,
                              kfold_split, lr_at, train, weighted_sigmoid_ce)
 from helpers import central_diff, max_rel_err
@@ -15,42 +15,41 @@ from helpers import central_diff, max_rel_err
 
 class TestSchedule:
     def test_starts_at_zero(self):
-        sched = ScheduleConfig(total_epochs=25)
+        sched = TrainConfig(epochs=25)
         assert lr_at(sched, 0.0) == 0.0
 
     def test_peak_at_warmup_end(self):
-        sched = ScheduleConfig(total_epochs=25, warmup_epochs=5, peak_lr=0.001)
+        sched = TrainConfig(epochs=25, warmup_epochs=5, peak_lr=0.001)
         assert lr_at(sched, 5.0) == 0.001
 
     def test_cosine_midpoint(self):
-        sched = ScheduleConfig(total_epochs=25, warmup_epochs=5, peak_lr=0.001)
+        sched = TrainConfig(epochs=25, warmup_epochs=5, peak_lr=0.001)
         assert lr_at(sched, 15.0) == pytest.approx(0.0005, abs=1e-15)
 
     def test_continuous_at_junction(self):
-        sched = ScheduleConfig(total_epochs=25, warmup_epochs=5, peak_lr=0.001)
+        sched = TrainConfig(epochs=25, warmup_epochs=5, peak_lr=0.001)
         eps = 1e-9
         assert lr_at(sched, 5.0 - eps) == pytest.approx(lr_at(sched, 5.0 + eps),
                                                         abs=1e-10)
 
     def test_ends_at_min_lr(self):
-        sched = ScheduleConfig(total_epochs=25, warmup_epochs=5, peak_lr=0.001,
-                               min_lr=1e-5)
+        sched = TrainConfig(epochs=25, warmup_epochs=5, peak_lr=0.001, min_lr=1e-5)
         assert lr_at(sched, 25.0) == pytest.approx(1e-5, abs=1e-18)
 
     def test_out_of_range_progress(self):
-        sched = ScheduleConfig(total_epochs=25)
+        sched = TrainConfig(epochs=25)
         for p in (-0.1, 25.1):
             with pytest.raises(ValueError):
                 lr_at(sched, p)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(total_epochs=5, warmup_epochs=5)
+            TrainConfig(epochs=5, warmup_epochs=5)
         with pytest.raises(ValueError):
-            ScheduleConfig(total_epochs=5, warmup_epochs=0, peak_lr=0.0)
+            TrainConfig(epochs=5, warmup_epochs=0, peak_lr=0.0)
 
     def test_zero_warmup_starts_at_peak(self):
-        sched = ScheduleConfig(total_epochs=10, warmup_epochs=0, peak_lr=0.01)
+        sched = TrainConfig(epochs=10, warmup_epochs=0, peak_lr=0.01)
         assert lr_at(sched, 0.0) == 0.01
 
 
