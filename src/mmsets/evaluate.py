@@ -12,15 +12,22 @@ from .tensor import sigmoid_values
 from .training import TrainConfig, kfold_split, train
 
 
+PREDICT_CHUNK = 32  # samples per batched forward; bounds the activations held at once
+
+
 def predict_scores(model, samples):
-    """Sigmoid class scores [n,C] plus importance records (max/min pools)."""
+    """Sigmoid class scores [n,C] plus importance records (max/min pools).
+
+    Samples go through ``model.forward_batch`` in order, PREDICT_CHUNK at a
+    time.
+    """
     scores = np.zeros((len(samples), model.num_classes))
     records = []
-    for i, sample in enumerate(samples):
-        logits, record = model.forward(sample, training=False)
-        scores[i] = sigmoid_values(logits.data[0])
-        if record is not None:
-            records.append(record)
+    for start in range(0, len(samples), PREDICT_CHUNK):
+        chunk = samples[start:start + PREDICT_CHUNK]
+        logits, chunk_records = model.forward_batch(chunk, training=False)
+        scores[start:start + len(chunk)] = sigmoid_values(logits.data)
+        records.extend(r for r in chunk_records if r is not None)
     return scores, records
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -165,7 +166,7 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
 
 
 class DenseEncoder:
-    """Single FC layer with ELU and dropout: [1,M] -> [1,D]."""
+    """Single FC layer with ELU and dropout: a block of payloads [n,M] -> [n,D]."""
 
     def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
         self.spec = spec
@@ -173,14 +174,23 @@ class DenseEncoder:
         self.weight = T.parameter(_uniform_init(rng, (spec.input_dim, config.dim)))
         self.bias = T.parameter(np.zeros((1, config.dim)))
 
-    def encode(self, payload: np.ndarray, training: bool, rng) -> T.Tensor:
-        x = np.asarray(payload, dtype=np.float64)
-        if x.shape != (self.spec.input_dim,):
+    def encode(self, payloads, training: bool, rng) -> T.Tensor:
+        """Encode n payloads, one row each; one payload is a block of one.
+
+        ``rng`` feeds the dropout in training mode: a Generator or the [n,D]
+        uniforms already drawn (see ``tensor.dropout``).
+        """
+        try:
+            x = np.array(payloads, dtype=np.float64, ndmin=2)
+        except ValueError:  # payloads of different lengths
+            x = None
+        if x is None or x.ndim != 2 or x.shape[1] != self.spec.input_dim:
+            shapes = sorted({np.shape(p) for p in payloads}) if x is None else x.shape
             raise ValueError(
-                f"modality {self.spec.modality_id!r} expects a vector of length "
-                f"{self.spec.input_dim}, got shape {x.shape}"
+                f"modality {self.spec.modality_id!r} expects vectors of length "
+                f"{self.spec.input_dim}, got shape {shapes}"
             )
-        h = T.elu(T.linear(T.Tensor(x[None, :]), self.weight, self.bias))
+        h = T.elu(T.linear(T.Tensor(x), self.weight, self.bias))
         return T.dropout(h, self.dropout_p, training, rng)
 
     def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
@@ -192,7 +202,9 @@ class SequenceEncoder:
     with max-over-time, then a projection to the common dimension.
 
     Sequences shorter than the widest kernel are right-padded with the
-    reserved index 0 so the convolution is always defined.
+    reserved index 0 so the convolution is always defined. A block of
+    sequences is encoded at once: they are joined end to end, and each
+    one's max-over-time covers only the windows inside it.
     """
 
     def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
@@ -209,25 +221,39 @@ class SequenceEncoder:
         )
         self.bias = T.parameter(np.zeros((1, config.dim)))
 
-    def encode(self, payload: np.ndarray, training: bool, rng) -> T.Tensor:
-        idx = np.asarray(payload)
-        if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(
-                f"modality {self.spec.modality_id!r} expects a nonempty int sequence"
-            )
-        if idx.min() < 0 or idx.max() >= self.spec.vocab_size:
+    def encode(self, payloads, training: bool, rng) -> T.Tensor:
+        """Encode n sequences, one row each; one 1-D int array is a block of one.
+
+        ``rng`` feeds the dropout as in ``DenseEncoder.encode``.
+        """
+        if isinstance(payloads, np.ndarray) and payloads.ndim == 1:
+            payloads = [payloads]
+        pad_to = max(self.kernel_widths)
+        padded = []
+        for payload in payloads:
+            idx = np.asarray(payload)
+            if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+                raise ValueError(
+                    f"modality {self.spec.modality_id!r} expects a nonempty int sequence"
+                )
+            if idx.size < pad_to:
+                idx = np.concatenate([idx, np.full(pad_to - idx.size, PAD_INDEX,
+                                                   dtype=idx.dtype)])
+            padded.append(idx)
+        joined = np.concatenate(padded)
+        if joined.min() < 0 or joined.max() >= self.spec.vocab_size:
             raise ValueError(
                 f"modality {self.spec.modality_id!r}: index out of range "
                 f"[0, {self.spec.vocab_size})"
             )
-        pad_to = max(self.kernel_widths)
-        if idx.size < pad_to:
-            idx = np.concatenate([idx, np.full(pad_to - idx.size, PAD_INDEX, dtype=idx.dtype)])
-        emb = T.embedding_lookup(self.embedding, idx)
+        lengths = [idx.size for idx in padded]
+        emb = T.embedding_lookup(self.embedding, joined)
         pooled = []
         for w in self.kernel_widths:
-            conv = T.conv1d_over_sequence(emb, self.kernels[w])
-            best, _ = T.reduce_over_set(conv, "max")
+            conv = T.conv1d_over_sequence(emb, self.kernels[w], lengths)
+            # each sequence's windows form one set for the max-over-time
+            starts = list(accumulate((n - w + 1 for n in lengths[:-1]), initial=0))
+            best, _ = T.reduce_over_set(conv, "max", starts)
             pooled.append(best)
         h = T.elu(T.linear(T.concat(pooled, axis=1), self.projection, self.bias))
         return T.dropout(h, self.dropout_p, training, rng)
@@ -295,12 +321,51 @@ class _ModelCore:
                              final_bias=init_classifier_bias(num_classes, cfg.class_prior))
 
     @staticmethod
-    def _forward_rng(sample, training: bool, rng):
-        if rng is not None:
-            return rng
+    def _sample_rngs(samples, training: bool, rngs):
+        if rngs is None:
+            if training:
+                raise ValueError("training forward needs an rng per sample")
+            return [None] * len(samples)
+        if len(rngs) != len(samples):
+            raise ValueError(f"got {len(rngs)} rngs for {len(samples)} samples")
+        return rngs
+
+    def _encode(self, element_lists, training: bool, rngs):
+        """Encode every element of a batch, one block per modality.
+
+        ``element_lists[b]`` holds sample b's (modality_id, payload) pairs in
+        its element order; "sample-major" numbers all the elements in that
+        order, sample after sample. Returns the encoded rows, modality after
+        modality, and each row's sample-major position; None and an empty
+        array when the batch has no elements. In training mode each sample
+        draws its rows' dropout uniforms from its own stream, in element
+        order, as one block.
+        """
+        positions = {mid: [] for mid in self.modality_ids}
+        payloads = {mid: [] for mid in self.modality_ids}
+        n = 0
+        for elements in element_lists:
+            for mid, payload in elements:
+                positions[mid].append(n)
+                payloads[mid].append(payload)
+                n += 1
+        order = np.array([i for mid in self.modality_ids for i in positions[mid]],
+                         dtype=np.intp)
+        if n == 0:
+            return None, order
+        uniforms = None
         if training:
-            raise ValueError("training forward needs an rng")
-        return derive_rng("eval", sample.sample_id)
+            uniforms = np.concatenate([rng.random((len(elements), self.config.dim))
+                                       for elements, rng in zip(element_lists, rngs)])[order]
+        blocks = []
+        lo = 0
+        for mid in self.modality_ids:
+            hi = lo + len(payloads[mid])
+            if hi > lo:
+                blocks.append(self.encoders[mid].encode(
+                    payloads[mid], training, None if uniforms is None else uniforms[lo:hi]))
+            lo = hi
+        return T.concat(blocks, axis=0), order
 
     def named_parameters(self) -> dict[str, T.Tensor]:
         params = {}
@@ -341,27 +406,39 @@ class FusionModel(_ModelCore):
         self._pool = mode
 
     def forward(self, sample, training: bool = False, rng=None):
-        """Encode, pool, predict. Returns (logits [1,C], importance record).
+        """``forward_batch`` on one sample: (logits [1,C], importance record)."""
+        logits, records = self.forward_batch([sample], training,
+                                             None if rng is None else [rng])
+        return logits, records[0]
 
-        The importance record is populated only under max/min pooling; sum
-        and mean carry no per-dimension attribution, so they return None.
-        When no rng is given (inference), a stream derived from the sample
-        id is used, so repeated calls are bit-identical.
+    def forward_batch(self, samples, training: bool = False, rngs=None):
+        """Encode, pool, predict a batch. Returns (logits [B,C], records).
+
+        ``rngs`` holds one stream per sample, drawn from for its subsampling
+        and then its dropout; training needs it. Each sample's elements are
+        encoded with the batch's other elements of the same modality, then
+        pooled over its own rows only, so a sample's logits do not depend on
+        its batch beyond floating-point rounding. ``records[b]`` is sample
+        b's importance record under max/min pooling and None under sum and
+        mean, which carry no per-dimension attribution. Without rngs
+        (inference) a stream derived from each sample id does the
+        subsampling, so repeated calls are bit-identical.
         """
-        rng = self._forward_rng(sample, training, rng)
-        elements = build_set(sample, self.specs, rng)
-        rows = []
-        owners = np.empty(len(elements), dtype=np.int64)
-        for i, (mid, payload) in enumerate(elements):
-            rows.append(self.encoders[mid].encode(payload, training, rng))
-            owners[i] = self._mod_index[mid]
-        pooled, argidx = T.reduce_over_set(T.concat(rows, axis=0), self.pool)
-        record = None
+        rngs = self._sample_rngs(samples, training, rngs)
+        element_lists = [build_set(s, self.specs, rng) for s, rng in zip(samples, rngs)]
+        rows, order = self._encode(element_lists, training, rngs)
+        sizes = np.array([len(elements) for elements in element_lists])
+        x = T.scatter_rows(rows, order, (order.size, self.config.dim))
+        pooled, argidx = T.reduce_over_set(x, self.pool, np.cumsum(sizes) - sizes)
+        records = [None] * len(samples)
         if argidx is not None:
-            won = np.bincount(owners[argidx], minlength=len(self.modality_ids))
-            counts = {m: int(won[i]) for i, m in enumerate(self.modality_ids)}
-            record = ImportanceRecord.from_counts(sample.sample_id, counts)
-        return self.predictor(pooled), record
+            owners = np.array([self._mod_index[mid] for elements in element_lists
+                               for mid, _ in elements])
+            for b, sample in enumerate(samples):
+                won = np.bincount(owners[argidx[b]], minlength=len(self.modality_ids))
+                counts = {m: int(won[i]) for i, m in enumerate(self.modality_ids)}
+                records[b] = ImportanceRecord.from_counts(sample.sample_id, counts)
+        return self.predictor(pooled), records
 
 
 class ConcatModel(_ModelCore):
@@ -388,18 +465,39 @@ class ConcatModel(_ModelCore):
     combined_dim = concat_dim
 
     def forward(self, sample, training: bool = False, rng=None):
-        """Returns (logits [1,C], None); padding makes every sample total."""
-        rng = self._forward_rng(sample, training, rng)
-        parts = []
-        for spec in self.specs:
-            mid = spec.modality_id
-            got = [inst.payload for inst in sample.instances if inst.modality_id == mid]
-            got = got[: self.slots[mid]]
-            for payload in got:
-                parts.append(self.encoders[mid].encode(payload, training, rng))
-            for _ in range(self.slots[mid] - len(got)):
-                parts.append(T.Tensor(np.zeros((1, self.config.dim))))
-        return self.predictor(T.concat(parts, axis=1)), None
+        """``forward_batch`` on one sample: (logits [1,C], None)."""
+        logits, records = self.forward_batch([sample], training,
+                                             None if rng is None else [rng])
+        return logits, records[0]
+
+    def forward_batch(self, samples, training: bool = False, rngs=None):
+        """Returns (logits [B,C], [None]*B); padding makes every sample total.
+
+        ``rngs`` (one stream per sample) feeds the dropout and is needed in
+        training. Row b of the [B, sum(slots)*D] predictor input is sample
+        b's slot vector.
+        """
+        rngs = self._sample_rngs(samples, training, rngs)
+        n_slots = sum(self.slots.values())
+        element_lists, slot_rows = [], []
+        for b, sample in enumerate(samples):
+            elements = []
+            first = b * n_slots
+            for spec in self.specs:
+                mid = spec.modality_id
+                got = [inst.payload for inst in sample.instances if inst.modality_id == mid]
+                got = got[: self.slots[mid]]
+                elements.extend((mid, payload) for payload in got)
+                slot_rows.extend(range(first, first + len(got)))
+                first += self.slots[mid]
+            element_lists.append(elements)
+        rows, order = self._encode(element_lists, training, rngs)
+        shape = (len(samples), n_slots * self.config.dim)
+        if rows is None:
+            x = T.Tensor(np.zeros(shape))
+        else:
+            x = T.scatter_rows(rows, np.array(slot_rows, dtype=np.intp)[order], shape)
+        return self.predictor(x), [None] * len(samples)
 
 
 def aggregate_importance(records) -> dict[str, float]:

@@ -1,22 +1,27 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Every operation computes eagerly with numpy and, while a Tape is active,
-records a backward rule. Shapes are always explicit; the only broadcast in
-the whole module is the bias that ``linear`` adds to every row. Gradient
-buffers persist until reset, so minibatch accumulation is just a sequence of
-backward calls.
+records a backward rule on its output. Shapes are always explicit; the only
+broadcast in the whole module is the bias that ``linear`` adds to every row.
+Gradient buffers persist until reset, so minibatch accumulation is just a
+sequence of backward calls.
+
+A set minibatch is one block of rows: each sample's elements are a run of
+consecutive rows, and ``reduce_over_set`` pools every run to one row.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+import weakref
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import EmptySetError
 
 POOL_MODES = ("sum", "max", "min", "mean")
+_ONE_SET = np.zeros(1, dtype=np.intp)
 
 _LOCAL = threading.local()
 
@@ -31,10 +36,15 @@ class Tape:
     Operations are appended as they execute, so the log is already a
     topological order of the computation. The backward pass replays it in
     reverse, visiting every record exactly once.
+
+    The log holds its outputs by weak reference; each output holds the tape
+    and its own backward rule, and each rule holds the rule's inputs. A loss
+    therefore keeps alive exactly the graph behind it, and dropping the loss
+    frees the graph and the tape at once, without the cycle collector.
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[Tensor, Callable[[], None]]] = []
+        self._outputs: list[weakref.ref] = []
 
     def __enter__(self) -> "Tape":
         if active_tape() is not None:
@@ -45,23 +55,24 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _LOCAL.tape = None
 
-    def record(self, out: "Tensor", backward_fn: Callable[[], None]) -> None:
-        self._records.append((out, backward_fn))
+    def record(self, out: "Tensor") -> None:
+        self._outputs.append(weakref.ref(out))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._outputs)
 
 
 class Tensor:
     """A dense float64 array plus an optional same-shape gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "tape", "backward_fn", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.tape: Optional[Tape] = None
+        self.backward_fn: Optional[Callable[[np.ndarray], None]] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,36 +107,48 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.tape is not None
 
 
-def register_op(out: Tensor, inputs: Iterable[Tensor], backward_fn: Callable[[], None]) -> Tensor:
+def register_op(out: Tensor, inputs: Iterable[Tensor],
+                backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Attach ``out`` to the active tape when any input participates in autodiff.
 
-    This is the extension point for custom differentiable operations defined
-    outside this module (the training loss uses it).
+    ``backward_fn(g)`` receives the gradient of ``out`` and adds its inputs'
+    shares with ``accumulate_grad``; it must not hold ``out`` itself. This is
+    the extension point for custom differentiable operations defined outside
+    this module (the training loss uses it).
     """
     tape = active_tape()
     if tape is not None and any(_tracked(t) for t in inputs):
         out.tape = tape
-        tape.record(out, backward_fn)
+        out.backward_fn = backward_fn
+        tape.record(out)
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate d(loss)/d(tensor) for every tensor behind a scalar ``loss``.
+def backward(loss: Tensor, grad: Optional[np.ndarray] = None) -> None:
+    """Populate d(objective)/d(tensor) for every tensor behind ``loss``.
 
-    Non-leaf gradients are rebuilt from scratch on every call while leaf
-    (requires_grad) buffers keep accumulating, so calling twice doubles the
-    leaf gradients.
+    ``grad`` is d(objective)/d(loss), the shape of ``loss``; it may be left
+    out for a one-element loss, where it is 1. Non-leaf gradients are
+    rebuilt from scratch on every call while leaf (requires_grad) buffers
+    keep accumulating, so calling twice doubles the leaf gradients.
     """
-    if loss.data.size != 1:
-        raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    if grad is None:
+        if loss.data.size != 1:
+            raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+        grad = np.ones_like(loss.data)
+    elif np.shape(grad) != loss.data.shape:
+        raise ValueError(f"backward grad of shape {np.shape(grad)} does not match "
+                         f"the loss shape {loss.data.shape}")
     tape = loss.tape
     if tape is None:
         raise ValueError("loss was not recorded on a live Tape")
-    for out, _ in tape._records:
-        out.grad = None
-    loss.grad = np.ones_like(loss.data)
-    for _, fn in reversed(tape._records):
-        fn()
+    outputs = [t for t in (ref() for ref in tape._outputs) if t is not None]
+    for t in outputs:
+        t.grad = None
+    loss.grad = np.array(grad, dtype=np.float64)
+    for t in reversed(outputs):
+        if t.grad is not None:
+            t.backward_fn(t.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +166,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"linear shapes do not fit: x {xs}, weight {ws}, bias {bs}")
     out = Tensor(x.data @ weight.data + bias.data)
 
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
+    def backward_fn(g):
         if _tracked(x):
             accumulate_grad(x, g @ weight.data.T)
         if _tracked(weight):
@@ -157,19 +177,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return register_op(out, (x, weight, bias), backward_fn)
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    out = Tensor(x.data * factor)
-
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
-        if _tracked(x):
-            accumulate_grad(x, g * factor)
-
-    return register_op(out, (x,), backward_fn)
-
-
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     """Elementwise x if x > 0 else alpha*(exp(x)-1)."""
     d = x.data
@@ -178,9 +185,8 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     out_data[neg] = alpha * np.expm1(d[neg])
     out = Tensor(out_data)
 
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(x):
+    def backward_fn(g):
+        if not _tracked(x):
             return
         dx = g.copy()
         dx[neg] *= out_data[neg] + alpha  # alpha*exp(x) recovered from the output
@@ -200,11 +206,15 @@ def sigmoid_values(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool,
+            rng: Union[np.random.Generator, np.ndarray, None] = None) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by 1/(1-p).
 
-    Eval mode returns ``x`` itself, so the inference path is the exact
-    identity rather than a numerically equivalent copy.
+    In training mode ``rng`` is either a Generator, from which the uniforms
+    that decide each entry are drawn row after row, or those uniforms
+    already drawn, an array of the shape of ``x``. Eval mode returns ``x``
+    itself, so the inference path is the exact identity rather than a
+    numerically equivalent copy.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
@@ -212,66 +222,100 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    uniforms = rng.random(x.data.shape) if isinstance(rng, np.random.Generator) else rng
+    if uniforms.shape != x.data.shape:
+        raise ValueError(f"dropout uniforms of shape {uniforms.shape} do not match "
+                         f"the input shape {x.data.shape}")
+    mask = (uniforms >= p) / (1.0 - p)
     out = Tensor(x.data * mask)
 
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(x):
-            return
-        accumulate_grad(x, g * mask)
+    def backward_fn(g):
+        if _tracked(x):
+            accumulate_grad(x, g * mask)
 
     return register_op(out, (x,), backward_fn)
 
 
-def reduce_over_set(x: Tensor, mode: str) -> tuple[Tensor, Optional[np.ndarray]]:
-    """Reduce the S rows of ``x`` [S,D] to one row.
+def reduce_over_set(x: Tensor, mode: str, starts: Optional[Sequence[int]] = None
+                    ) -> tuple[Tensor, Optional[np.ndarray]]:
+    """Reduce each set of rows of ``x`` [N,D] to one row: [B,D] for B sets.
 
-    For max/min the second return value holds, per column, the row index of
-    the extremum (ties resolve to the lowest index); sum/mean return None.
-    Backward routes the upstream gradient to every row (sum/mean, the latter
-    divided by S) or only to the arg rows (max/min).
+    ``starts`` holds the first row of each set in ascending order, from 0;
+    a set runs up to the next start, the last one to row N. Without
+    ``starts``, all of ``x`` is one set. For max/min the second return value
+    holds, per set and column, the row of ``x`` that supplied the extremum,
+    [B,D] (or [D] without ``starts``); ties resolve to the lowest row of the
+    set, and a NaN wins as it does in ``np.argmax``. Sum/mean return None.
+    Backward routes each set's upstream gradient to every row of the set
+    (sum/mean, the latter divided by the set size) or only to the arg rows
+    (max/min). An empty set raises EmptySetError.
     """
     if mode not in POOL_MODES:
         raise ValueError(f"unknown reduction mode {mode!r}, expected one of {POOL_MODES}")
     d = x.data
     if d.ndim != 2:
-        raise ValueError(f"reduce_over_set expects a [S,D] tensor, got shape {d.shape}")
+        raise ValueError(f"reduce_over_set expects a [N,D] tensor, got shape {d.shape}")
     n_rows = d.shape[0]
-    if n_rows == 0:
+    if starts is None:
+        first, sizes = _ONE_SET, np.array([n_rows])
+    else:
+        first = np.asarray(starts, dtype=np.intp)
+        if first.ndim != 1 or first.size == 0 or first[0] != 0:
+            raise ValueError(f"set starts must be a nonempty 1-D array from 0, got {starts!r}")
+        sizes = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=sizes[:-1])
+        sizes[-1] = n_rows - first[-1]
+    smallest = sizes.min()
+    if smallest <= 0:
+        if smallest < 0:
+            raise ValueError(f"set starts must ascend within [0, {n_rows}], got {starts!r}")
         raise EmptySetError("cannot reduce an empty set")
     argidx: Optional[np.ndarray] = None
-    if mode == "sum":
-        out_data = d.sum(axis=0, keepdims=True)
-    elif mode == "mean":
-        out_data = d.mean(axis=0, keepdims=True)
+    if mode == "sum" or mode == "mean":
+        out_data = np.add.reduceat(d, first, axis=0)
+        if mode == "mean":
+            out_data /= sizes[:, None]
+    elif smallest == sizes.max():
+        # sets of one size: one arg-reduction over the [B,S,D] view
+        arg_reduce = np.argmax if mode == "max" else np.argmin
+        argidx = arg_reduce(d.reshape(first.size, smallest, d.shape[1]), axis=1)
+        argidx += first[:, None]
+        out_data = d[argidx, np.arange(d.shape[1])]
     else:
-        argidx = d.argmax(axis=0) if mode == "max" else d.argmin(axis=0)
-        out_data = d[argidx, np.arange(d.shape[1])][None, :]
+        out_data = (np.maximum if mode == "max" else np.minimum).reduceat(d, first, axis=0)
+        # the lowest row of each set that holds the extremum (or a NaN)
+        hit = d == out_data.repeat(sizes, axis=0)
+        hit |= np.isnan(d)
+        argidx = np.minimum.reduceat(np.where(hit, np.arange(n_rows)[:, None], n_rows),
+                                     first, axis=0)
     out = Tensor(out_data)
 
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(x):
+    def backward_fn(g):
+        if not _tracked(x):
             return
         if mode == "sum":
-            gx = np.repeat(g, n_rows, axis=0)
+            gx = g.repeat(sizes, axis=0)
         elif mode == "mean":
-            gx = np.repeat(g / n_rows, n_rows, axis=0)
+            gx = (g / sizes[:, None]).repeat(sizes, axis=0)
         else:
             gx = np.zeros_like(d)
-            gx[argidx, np.arange(d.shape[1])] = g[0]
+            gx[argidx, np.arange(d.shape[1])] = g
         accumulate_grad(x, gx)
 
     register_op(out, (x,), backward_fn)
+    if starts is None and argidx is not None:
+        return out, argidx[0]
     return out, argidx
 
 
-def conv1d_over_sequence(emb: Tensor, kernels: Tensor) -> Tensor:
+def conv1d_over_sequence(emb: Tensor, kernels: Tensor,
+                         lengths: Optional[Sequence[int]] = None) -> Tensor:
     """Valid-mode 1-D convolution over sequence positions.
 
-    ``emb`` is [L,E], ``kernels`` is [w,E,F]; the result is [(L-w+1),F],
-    one row per window position.
+    ``emb`` is [L,E]: the sequences back to back, ``lengths`` long (default:
+    one sequence of length L). ``kernels`` is [w,E,F]. The result holds one
+    row per window that lies inside one sequence: each sequence's
+    (length-w+1) windows, in order, sequence after sequence.
     """
     if emb.data.ndim != 2 or kernels.data.ndim != 3:
         raise ValueError(
@@ -281,27 +325,38 @@ def conv1d_over_sequence(emb: Tensor, kernels: Tensor) -> Tensor:
     width, k_emb, _ = kernels.data.shape
     if k_emb != emb_dim:
         raise ValueError(f"embedding width mismatch: sequence {emb_dim}, kernels {k_emb}")
-    if seq_len < width:
-        raise ValueError(f"sequence too short: length {seq_len} < kernel width {width}")
+    lengths = [seq_len] if lengths is None else [int(n) for n in lengths]
+    if sum(lengths) != seq_len:
+        raise ValueError(f"sequence lengths {lengths} do not add up to {seq_len}")
+    if min(lengths) < width:
+        raise ValueError(f"sequence too short: length {min(lengths)} < kernel width {width}")
     positions = seq_len - width + 1
-    out_data = emb.data[0:positions] @ kernels.data[0]
+    every = emb.data[0:positions] @ kernels.data[0]
     for j in range(1, width):
-        out_data += emb.data[j:j + positions] @ kernels.data[j]
-    out = Tensor(out_data)
+        every += emb.data[j:j + positions] @ kernels.data[j]
+    # keep the windows that do not cross from one sequence into the next:
+    # output row r, of sequence i, is the window that starts at row r + i*(width-1)
+    keep = None
+    if len(lengths) > 1:
+        windows = np.array(lengths) - (width - 1)
+        keep = np.arange(windows.sum()) + (width - 1) * np.arange(len(lengths)).repeat(windows)
+        every = every[keep]
+    out = Tensor(every)
 
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
+    def backward_fn(g):
+        g_every = g
+        if keep is not None:
+            g_every = np.zeros((positions, g.shape[1]))
+            g_every[keep] = g
         if _tracked(emb):
             de = np.zeros_like(emb.data)
             for j in range(width):
-                de[j:j + positions] += g @ kernels.data[j].T
+                de[j:j + positions] += g_every @ kernels.data[j].T
             accumulate_grad(emb, de)
         if _tracked(kernels):
             dk = np.empty_like(kernels.data)
             for j in range(width):
-                dk[j] = emb.data[j:j + positions].T @ g
+                dk[j] = emb.data[j:j + positions].T @ g_every
             accumulate_grad(kernels, dk)
 
     return register_op(out, (emb, kernels), backward_fn)
@@ -317,9 +372,8 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
         raise ValueError(f"index out of vocabulary range [0, {vocab})")
     out = Tensor(table.data[idx])
 
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(table):
+    def backward_fn(g):
+        if not _tracked(table):
             return
         dt = np.zeros_like(table.data)
         np.add.at(dt, idx, g)
@@ -337,10 +391,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         raise ValueError(f"concat along axis {axis} needs matching 2-D tensors, got {shapes}")
     out = Tensor(np.concatenate([t.data for t in parts], axis=axis))
 
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
+    def backward_fn(g):
         g_rows = g.swapaxes(0, axis)  # join axis first: each part is a run of rows
         lo = 0
         for t, sh in zip(parts, shapes):
@@ -350,3 +401,27 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             lo = hi
 
     return register_op(out, tuple(parts), backward_fn)
+
+
+def scatter_rows(x: Tensor, rows: np.ndarray, shape: tuple[int, int]) -> Tensor:
+    """Place the rows of ``x`` [n,D] into a zero [R,C] tensor.
+
+    The result is viewed as R*C/D rows of width D, and row i of ``x`` lands
+    on row ``rows[i]`` of that view; the destinations must be distinct. A
+    permutation of range(n) with shape [n,D] reorders rows; with C a
+    multiple of D, rows land in fixed column slots of each output row.
+    """
+    n, width = x.data.shape
+    idx = np.asarray(rows, dtype=np.intp)
+    if len(shape) != 2 or shape[1] % width or idx.shape != (n,):
+        raise ValueError(f"cannot place {n} rows of width {width} into shape {shape} "
+                         f"with {idx.shape[0]} destinations")
+    out_data = np.zeros(shape)
+    out_data.reshape(-1, width)[idx] = x.data
+    out = Tensor(out_data)
+
+    def backward_fn(g):
+        if _tracked(x):
+            accumulate_grad(x, g.reshape(-1, width)[idx])
+
+    return register_op(out, (x,), backward_fn)

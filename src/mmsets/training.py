@@ -3,8 +3,9 @@
 The recipe: AdamW with decoupled weight decay, learning rate warmed up
 linearly to the peak and then cosine-annealed, sigmoid cross-entropy with
 optional inverse-sqrt-frequency class weights, and a classifier bias seeded
-from a class prior. Sets are ragged, so minibatches accumulate per-sample
-gradients and step once.
+from a class prior. Each minibatch is one forward pass over all its sets,
+one loss row per sample, one backward pass and one optimizer step; every
+sample still draws its subsampling and dropout from its own stream.
 """
 
 from __future__ import annotations
@@ -118,32 +119,30 @@ def adamw_step(params: dict[str, T.Tensor], grads: dict[str, Optional[np.ndarray
 
 
 def weighted_sigmoid_ce(logits: T.Tensor, targets: np.ndarray, weights: np.ndarray) -> T.Tensor:
-    """Class-weighted sigmoid cross-entropy, averaged over classes.
+    """Class-weighted sigmoid cross-entropy of each sample, averaged over classes.
 
-    Stable for logits of any magnitude; targets must be exactly 0/1.
+    ``logits`` [B,C] and ``targets`` [B,C] (one row may be given as a [C]
+    vector) give a [B,1] tensor of per-sample losses. Stable for logits of
+    any magnitude; targets must be exactly 0/1.
     """
     z = logits.data
-    if z.ndim != 2 or z.shape[0] != 1:
-        raise ValueError(f"expected [1,C] logits, got shape {z.shape}")
-    t = np.asarray(targets, dtype=np.float64).reshape(-1)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if z.ndim != 2:
+        raise ValueError(f"expected [B,C] logits, got shape {z.shape}")
     n_classes = z.shape[1]
-    if t.shape[0] != n_classes or w.shape[0] != n_classes:
-        raise ValueError(f"targets/weights must have {n_classes} entries")
+    t = np.asarray(targets, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if t.size != z.size or w.shape[0] != n_classes:
+        raise ValueError(f"targets need {n_classes} entries per row and weights {n_classes}")
+    t = t.reshape(z.shape)
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ValueError("targets must be binary 0/1")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("class weights must be positive and finite")
-    zr = z[0]
-    per_class = np.maximum(zr, 0.0) - zr * t + np.log1p(np.exp(-np.abs(zr)))
-    out = T.Tensor([[float((w * per_class).sum() / n_classes)]])
+    per_class = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    out = T.Tensor((w * per_class).sum(axis=1, keepdims=True) / n_classes)
 
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
-        dz = (w * (T.sigmoid_values(zr) - t) / n_classes * g[0, 0])[None, :]
-        T.accumulate_grad(logits, dz)
+    def backward_fn(g):
+        T.accumulate_grad(logits, w * (T.sigmoid_values(z) - t) / n_classes * g)
 
     return T.register_op(out, (logits,), backward_fn)
 
@@ -169,10 +168,11 @@ def inverse_sqrt_class_weights(label_matrix: np.ndarray) -> np.ndarray:
     return w / w.mean()
 
 
-def _accuracy_terms(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
+def _accuracy_terms(scores: np.ndarray, labels: np.ndarray, task: str) -> np.ndarray:
+    """Per-sample accuracy of score rows against label rows."""
     if task == "single_label":
-        return float(np.argmax(scores) == np.argmax(labels))
-    return float(np.mean((scores >= 0.5) == (labels == 1)))
+        return (np.argmax(scores, axis=1) == np.argmax(labels, axis=1)).astype(np.float64)
+    return np.mean((scores >= 0.5) == (labels == 1), axis=1)
 
 
 def train(model, samples, config: TrainConfig, task: str = "single_label",
@@ -180,8 +180,8 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     """Run the full training loop in place; returns the per-epoch history.
 
     Args:
-        model: a fusion or concat model exposing ``forward(sample, training,
-            rng)`` and ``named_parameters()``.
+        model: a fusion or concat model exposing ``forward_batch(samples,
+            training, rngs)`` and ``named_parameters()``.
         samples: sequence of dataset samples.
         config: optimizer/schedule settings; ``config.seed`` drives epoch
             shuffling, subsampling, and dropout, so identical configs give
@@ -189,17 +189,20 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
         task: "single_label" or "multi_label", for the logged accuracy.
         on_epoch: optional callback receiving each epoch's log record.
 
-    Each epoch shuffles the sample order and walks minibatches; sets are
-    ragged so the loop runs one forward/backward per sample, scaling each
-    loss by the batch size, and steps the optimizer once per batch.
+    Each epoch shuffles the sample order and walks minibatches. A minibatch
+    is one batched forward pass, in which every sample draws from its own
+    stream, and one backward pass of the batch-mean loss, then one optimizer
+    step. A non-finite loss raises NumericError naming the batch's first
+    sample whose loss is not finite.
     """
     if not samples:
         raise DataError("cannot train on an empty dataset")
     params = model.named_parameters()
     state = AdamWState(params, beta1=config.beta1, beta2=config.beta2, eps=config.eps,
                        weight_decay=config.weight_decay)
+    labels = np.stack([s.labels for s in samples])
     if config.class_weighting:
-        weights = inverse_sqrt_class_weights(np.stack([s.labels for s in samples]))
+        weights = inverse_sqrt_class_weights(labels)
     else:
         weights = np.ones(model.num_classes)
 
@@ -211,24 +214,24 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
         loss_sum = 0.0
         acc_sum = 0.0
         for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch_idx = order[start:start + config.batch_size]
+            batch = [samples[i] for i in batch_idx]
             for p in params.values():
                 p.grad = None
-            for i in batch:
-                s = samples[i]
-                rng = sample_rng(config.seed, epoch, s.sample_id)
-                with T.Tape():
-                    logits, _ = model.forward(s, training=True, rng=rng)
-                    loss = weighted_sigmoid_ce(logits, s.labels, weights)
-                    scaled = T.scale(loss, 1.0 / len(batch))
-                T.backward(scaled)
-                loss_value = loss.item()
-                if not math.isfinite(loss_value):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, sample {s.sample_id!r}"
-                    )
-                loss_sum += loss_value
-                acc_sum += _accuracy_terms(T.sigmoid_values(logits.data[0]), s.labels, task)
+            rngs = [sample_rng(config.seed, epoch, s.sample_id) for s in batch]
+            with T.Tape():
+                logits, _ = model.forward_batch(batch, training=True, rngs=rngs)
+                losses = weighted_sigmoid_ce(logits, labels[batch_idx], weights)
+            loss_values = losses.data[:, 0]
+            bad = np.flatnonzero(~np.isfinite(loss_values))
+            if bad.size:
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch}, sample {batch[bad[0]].sample_id!r}"
+                )
+            T.backward(losses, np.full(losses.shape, 1.0 / len(batch)))
+            loss_sum += float(loss_values.sum())
+            acc_sum += float(_accuracy_terms(T.sigmoid_values(logits.data),
+                                             labels[batch_idx], task).sum())
             adamw_step(params, {name: p.grad for name, p in params.items()}, state, lr)
         record = {
             "epoch": epoch,

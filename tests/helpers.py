@@ -88,10 +88,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data * b.data)
 
-    def backward_fn():
-        g = out.grad
-        if g is None:
-            return
+    def backward_fn(g):
         if _tracked(a):
             accumulate_grad(a, g * b.data)
         if _tracked(b):
@@ -104,11 +101,9 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = sigmoid_values(x.data)
     out = Tensor(out_data)
 
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(x):
-            return
-        accumulate_grad(x, g * out_data * (1.0 - out_data))
+    def backward_fn(g):
+        if _tracked(x):
+            accumulate_grad(x, g * out_data * (1.0 - out_data))
 
     return register_op(out, (x,), backward_fn)
 
@@ -117,10 +112,19 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum every element into a [1,1] scalar tensor."""
     out = Tensor([[x.data.sum()]])
 
-    def backward_fn():
-        g = out.grad
-        if g is None or not _tracked(x):
-            return
-        accumulate_grad(x, np.full_like(x.data, g[0, 0]))
+    def backward_fn(g):
+        if _tracked(x):
+            accumulate_grad(x, np.full_like(x.data, g[0, 0]))
+
+    return register_op(out, (x,), backward_fn)
+
+
+def scale(x: Tensor, factor: float) -> Tensor:
+    """Multiply every element by a constant."""
+    out = Tensor(x.data * factor)
+
+    def backward_fn(g):
+        if _tracked(x):
+            accumulate_grad(x, g * factor)
 
     return register_op(out, (x,), backward_fn)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mmsets.data import SyntheticConfig, generate_synthetic
-from mmsets.evaluate import decide, evaluate_model, predict_scores, run_kfold
+from mmsets.evaluate import PREDICT_CHUNK, decide, evaluate_model, predict_scores, run_kfold
 from mmsets.fusion import FusionModel
+from mmsets.tensor import sigmoid_values
 from mmsets.training import TrainConfig
 
 
@@ -29,6 +30,19 @@ def test_predict_scores_shapes_and_records():
     model.pool = "sum"
     _, records = predict_scores(model, samples)
     assert records == []
+
+
+def test_predict_scores_chunks_match_single_forwards():
+    # more samples than one chunk holds, so the last chunk is partial
+    manifest, samples = small_dataset(n=PREDICT_CHUNK + 9)
+    model = FusionModel(manifest.modalities, num_classes=2, dim=8, pool="max")
+    scores, records = predict_scores(model, samples)
+    for i, sample in enumerate(samples):
+        logits, record = model.forward(sample)
+        np.testing.assert_allclose(scores[i], sigmoid_values(logits.data[0]),
+                                   rtol=0, atol=1e-12)
+        assert records[i].sample_id == sample.sample_id
+        assert records[i].counts == record.counts
 
 
 def test_evaluate_model_single_label_fields():

@@ -5,9 +5,20 @@ import mmsets.tensor as T
 from mmsets.data import ModalityInstance, Sample
 from mmsets.errors import EmptySetError
 from mmsets.fusion import (ConcatModel, DenseEncoder, FusionModel, ImportanceRecord, Mlp,
-                           ModalitySpec, ModelConfig, aggregate_importance, build_set)
+                           ModalitySpec, ModelConfig, SequenceEncoder, aggregate_importance,
+                           build_set)
 from helpers import (central_diff, max_rel_err, mixed_specs, random_sample, shuffled_copy,
                      sum_all)
+
+
+def encode_elements(model, elements):
+    """Eval-mode rows of a canonical element list, one encoder block per
+    modality; the list is grouped by modality in sorted order, so the
+    blocks stack in element order."""
+    return np.concatenate([
+        model.encoders[mid].encode([p for m, p in elements if m == mid],
+                                   training=False, rng=None).data
+        for mid in model.modality_ids if any(m == mid for m, _ in elements)], axis=0)
 
 
 def make_sample(payloads_by_mod, sample_id="s0", num_classes=2):
@@ -94,46 +105,65 @@ class TestEncoders:
         enc = model.encoders["img"]
         enc.weight.data[:] = 0.0
         enc.bias.data[:] = 0.0
-        out = enc.encode(np.arange(6.0), training=False, rng=None)
+        out = enc.encode([np.arange(6.0), np.ones(6)], training=False, rng=None)
         assert np.all(out.data == 0.0)
-        assert out.data.shape == (1, 8)
+        assert out.data.shape == (2, 8)
 
     @pytest.mark.parametrize("input_dim", [8, 2048])
     def test_output_dim_independent_of_input_dim(self, input_dim):
         model = FusionModel([ModalitySpec("img", "dense", input_dim=input_dim)],
                             num_classes=2, dim=16)
-        out = model.encoders["img"].encode(np.zeros(input_dim), training=False, rng=None)
+        out = model.encoders["img"].encode([np.zeros(input_dim)], training=False, rng=None)
         assert out.data.shape == (1, 16)
 
     def test_dense_dimension_mismatch(self):
         model = FusionModel([ModalitySpec("img", "dense", input_dim=6)],
                             num_classes=2, dim=8)
         with pytest.raises(ValueError, match="length 6"):
-            model.encoders["img"].encode(np.zeros(5), training=False, rng=None)
+            model.encoders["img"].encode([np.zeros(5)], training=False, rng=None)
+        with pytest.raises(ValueError, match="length 6"):  # one bad row in a block
+            model.encoders["img"].encode([np.zeros(6), np.zeros(5)], training=False, rng=None)
 
     def test_sequence_out_of_vocab(self):
         model = FusionModel([ModalitySpec("obj", "index_sequence", vocab_size=5)],
                             num_classes=2, dim=8, embed_dim=4, num_filters=3)
         with pytest.raises(ValueError, match="out of range"):
-            model.encoders["obj"].encode(np.array([5]), training=False, rng=None)
+            model.encoders["obj"].encode([np.array([5])], training=False, rng=None)
+        with pytest.raises(ValueError, match="out of range"):
+            model.encoders["obj"].encode([np.array([1, 2]), np.array([0, 5])],
+                                         training=False, rng=None)
 
     def test_short_sequence_padded_not_crashing(self):
         model = FusionModel([ModalitySpec("obj", "index_sequence", vocab_size=5)],
                             num_classes=2, dim=8, embed_dim=4, num_filters=3)
-        out = model.encoders["obj"].encode(np.array([2]), training=False, rng=None)
-        assert out.data.shape == (1, 8)
+        enc = model.encoders["obj"]
+        out = enc.encode([np.array([2]), np.array([1, 3, 4, 0, 2, 2])], training=False, rng=None)
+        assert out.data.shape == (2, 8)
+        # a short sequence in a block encodes as it does alone: padded to the
+        # widest kernel, and its max-over-time sees only its own windows
+        alone = enc.encode([np.array([2])], training=False, rng=None)
+        np.testing.assert_allclose(out.data[:1], alone.data, rtol=0, atol=1e-12)
 
     def test_tape_records_per_layer(self):
-        # each affine layer is one linear op: a dense element records
-        # linear, ELU and dropout; a one-hidden-layer MLP linear, ELU, linear
+        # each affine layer is one linear op: a dense block records linear,
+        # ELU and dropout, however many rows it holds; a one-hidden-layer MLP
+        # linear, ELU, linear
         rng = np.random.default_rng(0)
         encoder = DenseEncoder(ModalitySpec("img", "dense", input_dim=6), ModelConfig(dim=8), rng)
         predictor = Mlp([8, 5, 2], rng)
         with T.Tape() as tape:
-            h = encoder.encode(np.arange(6.0), training=True, rng=rng)
+            h = encoder.encode([np.arange(6.0), np.ones(6), np.zeros(6)], training=True, rng=rng)
             assert len(tape) == 3
             predictor(h)
             assert len(tape) == 6
+        # a sequence block: lookup, conv and max-over-time per kernel width,
+        # concat, linear, ELU, dropout
+        sequences = SequenceEncoder(ModalitySpec("obj", "index_sequence", vocab_size=5),
+                                    ModelConfig(dim=8), rng)
+        for block in ([np.array([1, 2])], [np.array([1, 2]), np.array([0, 3, 4, 1, 1])]):
+            with T.Tape() as tape:
+                sequences.encode(block, training=True, rng=rng)
+            assert len(tape) == 1 + 2 * 3 + 4
 
     def test_encoder_gradients_match_fd(self):
         specs = mixed_specs()
@@ -161,7 +191,7 @@ class TestForward:
         spec = ModalitySpec("img", "dense", input_dim=4)
         model = FusionModel([spec], num_classes=3, dim=8, pool="max")
         sample = make_sample({"img": [np.array([1.0, -2.0, 0.5, 3.0])]}, num_classes=3)
-        encoded = model.encoders["img"].encode(sample.instances[0].payload,
+        encoded = model.encoders["img"].encode([sample.instances[0].payload],
                                                training=False, rng=None)
         logits, record = model.forward(sample)
         np.testing.assert_array_equal(model.predictor(encoded).data, logits.data)
@@ -186,9 +216,7 @@ class TestForward:
         for trial in range(20):
             sample = random_sample(rng, specs, sample_id=f"t{trial}")
             elements = build_set(sample, specs, None)
-            rows = np.concatenate([
-                model.encoders[mid].encode(p, training=False, rng=None).data
-                for mid, p in elements], axis=0)
+            rows = encode_elements(model, elements)
             counts = {mid: 0 for mid in model.modality_ids}
             for d in range(rows.shape[1]):
                 best = 0
@@ -279,6 +307,81 @@ class TestForward:
             model.forward(make_sample({"img": [np.ones(4)]}), training=True)
 
 
+def batch_of_samples(specs, rng, n=7, cap=3):
+    """Random ragged samples plus one over every modality's cap, so its
+    subsampling draws come before its dropout draws."""
+    samples = [random_sample(rng, specs, sample_id=f"b{i}", max_instances=cap + 1,
+                             num_classes=3) for i in range(n)]
+    over = {"img": [rng.standard_normal(6) for _ in range(cap + 3)],
+            "obj": [rng.integers(0, 12, size=int(rng.integers(1, 7))) for _ in range(cap + 2)]}
+    samples.insert(n // 2, make_sample(over, sample_id="over", num_classes=3))
+    return samples
+
+
+def assert_batch_matches_single_forwards(model, samples):
+    """forward_batch equals one forward per sample within 1e-12, with the
+    same importance counts, in eval mode and in training mode with fresh
+    identical per-sample streams."""
+    for training in (False, True):
+        def streams():
+            return [np.random.default_rng(100 + b) for b in range(len(samples))]
+
+        logits, records = model.forward_batch(samples, training,
+                                              streams() if training else None)
+        assert logits.data.shape == (len(samples), model.num_classes)
+        assert len(records) == len(samples)
+        fresh = streams()
+        for b, sample in enumerate(samples):
+            single, record = model.forward(sample, training, fresh[b] if training else None)
+            assert np.max(np.abs(single.data[0] - logits.data[b])) <= 1e-12, (training, b)
+            assert (record is None) == (records[b] is None)
+            if record is not None:
+                assert record.counts == records[b].counts
+
+
+class TestForwardBatch:
+    @pytest.mark.parametrize("pool", T.POOL_MODES)
+    def test_fusion_batch_matches_single_forwards(self, pool):
+        specs = mixed_specs(max_instances=3)
+        model = FusionModel(specs, num_classes=3, dim=8, pool=pool, embed_dim=4,
+                            num_filters=3, seed=2)
+        assert_batch_matches_single_forwards(model, batch_of_samples(specs,
+                                                                     np.random.default_rng(40)))
+
+    def test_concat_batch_matches_single_forwards(self):
+        specs = mixed_specs(max_instances=3)
+        model = ConcatModel(specs, num_classes=3, dim=8, embed_dim=4, num_filters=3, seed=2)
+        samples = batch_of_samples(specs, np.random.default_rng(41))
+        samples.append(Sample("none", [ModalityInstance("rogue", np.ones(1))],
+                              np.array([1, 0, 0])))  # all slots zero
+        assert_batch_matches_single_forwards(model, samples)
+
+    def test_one_tape_per_batch(self):
+        # the records of a batch depend on the modalities present, not on
+        # how many samples or elements the batch holds
+        specs = mixed_specs()
+        model = FusionModel(specs, num_classes=2, dim=8, embed_dim=4, num_filters=3)
+        rng = np.random.default_rng(42)
+        small = [make_sample({"img": [np.ones(6)], "obj": [np.array([1, 2])]}, "s0")]
+        large = small + [random_sample(rng, specs, sample_id=f"l{i}") for i in range(9)]
+        lengths = []
+        for batch in (small, large):
+            with T.Tape() as tape:
+                model.forward_batch(batch, training=True,
+                                    rngs=[np.random.default_rng(0) for _ in batch])
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+    def test_streams_are_checked(self):
+        spec = ModalitySpec("img", "dense", input_dim=4)
+        model = FusionModel([spec], num_classes=2, dim=8)
+        samples = [make_sample({"img": [np.ones(4)]}, f"s{i}") for i in range(2)]
+        with pytest.raises(ValueError, match="rng"):
+            model.forward_batch(samples, training=True)
+        with pytest.raises(ValueError, match="rngs"):
+            model.forward_batch(samples, training=True, rngs=[np.random.default_rng(0)])
+
+
 class TestConcatBaseline:
     def test_zero_blocks_for_missing_modalities(self):
         specs = [ModalitySpec("a", "dense", input_dim=3, max_instances=1),
@@ -288,7 +391,7 @@ class TestConcatBaseline:
         logits, record = model.forward(sample)
         assert record is None
         # reconstruct the concat input: slots are (a:1, b:2) in sorted order
-        enc = model.encoders["a"].encode(np.ones(3), training=False, rng=None)
+        enc = model.encoders["a"].encode([np.ones(3)], training=False, rng=None)
         expected = np.concatenate([enc.data, np.zeros((1, 8))], axis=1)
         np.testing.assert_array_equal(
             model.predictor(T.Tensor(expected)).data, logits.data)
@@ -353,9 +456,7 @@ class TestAggregateImportance:
         fractions = np.zeros(len(model.modality_ids))
         for s in samples:
             elements = build_set(s, specs, None)
-            rows = np.concatenate([
-                model.encoders[mid].encode(p, training=False, rng=None).data
-                for mid, p in elements], axis=0)
+            rows = encode_elements(model, elements)
             winners = rows.argmax(axis=0)
             for d in winners:
                 fractions[model.modality_ids.index(elements[d][0])] += 1 / 10
@@ -374,9 +475,7 @@ def test_standalone_build_set_matches_eval_forward_subsample():
     sample = make_sample({"face": [rng.standard_normal(3) for _ in range(7)]},
                          sample_id="sub1")
     elements = build_set(sample, specs, None)
-    rows = np.concatenate([
-        model.encoders["face"].encode(p, training=False, rng=None).data
-        for _, p in elements], axis=0)
+    rows = encode_elements(model, elements)
     expected = rows.max(axis=0, keepdims=True)
     pooled = model.predictor(T.Tensor(expected))
     logits, _ = model.forward(sample)

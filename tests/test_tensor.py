@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import mmsets.tensor as T
 from mmsets.errors import EmptySetError
-from helpers import central_diff, max_rel_err, mul, sigmoid, sum_all
+from helpers import central_diff, max_rel_err, mul, scale, sigmoid, sum_all
 
 
 def scalar_loss(fn):
@@ -152,26 +154,89 @@ class TestDropout:
         assert max_rel_err(x.grad, numeric) < 1e-6
 
 
+    def test_predrawn_uniforms_match_the_generator(self):
+        # a block of uniforms drawn at once equals the same stream drawn row
+        # by row, which is how a batch reproduces each sample's masks
+        x = T.Tensor(np.arange(1.0, 13.0).reshape(3, 4))
+        drawn = T.dropout(x, 0.5, training=True, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        rows = np.vstack([rng.random((1, 4)) for _ in range(3)])
+        given = T.dropout(x, 0.5, training=True, rng=rows)
+        np.testing.assert_array_equal(drawn.data, given.data)
+        with pytest.raises(ValueError, match="shape"):
+            T.dropout(x, 0.5, training=True, rng=rows[:2])
+
+
+# rows of x: sets [0,3), [3,4), [4,8) -- ragged, and a singleton among them
+SEGMENT_STARTS = np.array([0, 3, 4])
+SEGMENT_ROWS = 8
+
+
+def _segment_oracle(d, starts, mode):
+    """Per-set numpy reduction plus, for max/min, each set's first arg row."""
+    bounds = [*starts, d.shape[0]]
+    outs, args = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = d[lo:hi]
+        outs.append(getattr(part, mode)(axis=0))
+        if mode in ("max", "min"):
+            args.append(lo + getattr(part, "arg" + mode)(axis=0))
+    return np.array(outs), (np.array(args) if args else None)
+
+
 class TestReduceOverSet:
     def test_max_values_and_argidx(self):
         out, arg = T.reduce_over_set(T.Tensor([[1.0, 3.0], [2.0, 1.0]]), "max")
         assert out.data.tolist() == [[2.0, 3.0]]
         assert arg.tolist() == [1, 0]
+        # two sets: arg rows index x, not the set
+        x = T.Tensor([[1.0, 3.0], [2.0, 1.0], [0.0, 5.0], [4.0, -1.0], [9.0, 0.0]])
+        out, arg = T.reduce_over_set(x, "max", [0, 2])
+        assert out.data.tolist() == [[2.0, 3.0], [9.0, 5.0]]
+        assert arg.tolist() == [[1, 0], [4, 2]]
+
+    def test_ragged_sets_match_per_set_reduction_in_every_mode(self):
+        rng = np.random.default_rng(30)
+        d = rng.standard_normal((SEGMENT_ROWS, 5))
+        for mode in T.POOL_MODES:
+            for starts in (SEGMENT_STARTS, np.array([0, 2, 4, 6])):  # ragged, equal sizes
+                out, arg = T.reduce_over_set(T.Tensor(d), mode, starts)
+                expected, expected_arg = _segment_oracle(d, starts, mode)
+                np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
+                if expected_arg is None:
+                    assert arg is None
+                else:
+                    np.testing.assert_array_equal(arg, expected_arg)
+                    np.testing.assert_array_equal(out.data, expected)
 
     def test_sum(self):
         out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "sum")
         assert out.data.tolist() == [[4.0, 6.0]]
         assert arg is None
+        out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                                     "sum", [0, 1])
+        assert out.data.tolist() == [[1.0, 2.0], [8.0, 10.0]]
+        assert arg is None
 
     def test_mean(self):
         out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "mean")
         assert out.data.tolist() == [[2.0, 3.0]]
+        out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                                   "mean", [0, 1])
+        assert out.data.tolist() == [[1.0, 2.0], [4.0, 5.0]]
 
     def test_min_ties_take_lowest_row(self):
         _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "min")
         assert arg.tolist() == [0, 0]
         _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "max")
         assert arg.tolist() == [0, 0]
+        # within each set, ragged or not: the set's lowest tied row wins
+        tied = T.Tensor(np.array([[5.0, 1.0]] * 5 + [[2.0, 2.0]] * 2))
+        for mode in ("min", "max"):
+            _, arg = T.reduce_over_set(tied, mode, [0, 2, 5])
+            assert arg.tolist() == [[0, 0], [2, 2], [5, 5]]
+            _, arg = T.reduce_over_set(tied, mode, [0, 1, 2, 3, 4, 5, 6])
+            assert arg.tolist() == [[i, i] for i in range(7)]
 
     def test_max_gradient_routing(self):
         x = T.parameter([[1.0, 3.0], [2.0, 1.0]])
@@ -204,9 +269,32 @@ class TestReduceOverSet:
             numeric = central_diff(lambda: float(ref(x.data)), x.data, h=1e-6)
             assert max_rel_err(x.grad, numeric) < 1e-6
 
+    def test_segment_gradients_match_fd_in_every_mode(self):
+        rng = np.random.default_rng(31)
+        mix = rng.standard_normal((len(SEGMENT_STARTS), 3))
+        for mode in T.POOL_MODES:
+            x = T.parameter(rng.standard_normal((SEGMENT_ROWS, 3)))
+            with T.Tape():
+                out, _ = T.reduce_over_set(x, mode, SEGMENT_STARTS)
+                loss = sum_all(mul(out, T.Tensor(mix)))
+            T.backward(loss)
+
+            def value():
+                return float((_segment_oracle(x.data, SEGMENT_STARTS, mode)[0] * mix).sum())
+
+            numeric = central_diff(value, x.data, h=1e-6)
+            assert max_rel_err(x.grad, numeric) < 1e-6, mode
+
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
             T.reduce_over_set(T.Tensor(np.zeros((0, 4))), "sum")
+        for mode in T.POOL_MODES:
+            for starts in ([0, 2, 2], [0, 3]):  # an empty middle set, an empty last set
+                with pytest.raises(EmptySetError):
+                    T.reduce_over_set(T.Tensor(np.zeros((3, 4))), mode, starts)
+        for starts in ([1, 2], [0, 2, 1], [0, 4]):
+            with pytest.raises(ValueError, match="starts"):
+                T.reduce_over_set(T.Tensor(np.zeros((3, 4))), "max", starts)
 
     def test_permutation_invariance_after_canonical_sort(self):
         rng = np.random.default_rng(8)
@@ -263,6 +351,45 @@ class TestConv1d:
             for j in range(2):
                 total += (emb.data[j:j + 4] @ kernels.data[j]).sum()
             return float(total)
+
+        for p in (emb, kernels):
+            numeric = central_diff(value, p.data, h=1e-6)
+            assert max_rel_err(p.grad, numeric) < 1e-6
+
+
+    def test_joined_sequences_match_separate_convolutions(self):
+        rng = np.random.default_rng(32)
+        lengths = [3, 5, 4]
+        parts = [rng.standard_normal((n, 4)) for n in lengths]
+        kernels = T.Tensor(rng.standard_normal((3, 4, 2)))
+        joined = T.conv1d_over_sequence(T.Tensor(np.concatenate(parts)), kernels, lengths)
+        expected = np.concatenate([T.conv1d_over_sequence(T.Tensor(p), kernels).data
+                                   for p in parts])
+        assert joined.data.shape == (1 + 3 + 2, 2)
+        np.testing.assert_allclose(joined.data, expected, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="too short"):
+            T.conv1d_over_sequence(T.Tensor(np.concatenate(parts)), kernels, [6, 2, 4])
+        with pytest.raises(ValueError, match="add up"):
+            T.conv1d_over_sequence(T.Tensor(np.concatenate(parts)), kernels, [3, 5])
+
+    def test_joined_gradients_match_fd(self):
+        rng = np.random.default_rng(33)
+        lengths = [2, 4, 3]
+        emb = T.parameter(rng.standard_normal((9, 3)))
+        kernels = T.parameter(rng.standard_normal((2, 3, 2)))
+        mix = rng.standard_normal((1 + 3 + 2, 2))
+        with T.Tape():
+            loss = sum_all(mul(T.conv1d_over_sequence(emb, kernels, lengths), T.Tensor(mix)))
+        T.backward(loss)
+
+        def value():
+            rows, lo = [], 0
+            for n in lengths:
+                seq = emb.data[lo:lo + n]
+                rows.extend(seq[p] @ kernels.data[0] + seq[p + 1] @ kernels.data[1]
+                            for p in range(n - 1))
+                lo += n
+            return float((np.array(rows) * mix).sum())
 
         for p in (emb, kernels):
             numeric = central_diff(value, p.data, h=1e-6)
@@ -331,9 +458,37 @@ class TestStructuralOps:
     def test_mul_and_scale(self):
         x = T.parameter([[2.0, -3.0]])
         with T.Tape():
-            loss = sum_all(T.scale(mul(x, x), 0.5))
+            loss = sum_all(scale(mul(x, x), 0.5))
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, x.data)
+
+
+class TestScatterRows:
+    def test_reorders_rows_and_fills_slots(self):
+        x = T.Tensor(np.arange(6.0).reshape(3, 2))
+        out = T.scatter_rows(x, np.array([2, 0, 1]), (3, 2))
+        assert out.data.tolist() == [[2.0, 3.0], [4.0, 5.0], [0.0, 1.0]]
+        # [2,6] seen as six 2-wide slots: rows land in slots 0, 3 and 5
+        out = T.scatter_rows(x, np.array([0, 3, 5]), (2, 6))
+        assert out.data.tolist() == [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                                     [2.0, 3.0, 0.0, 0.0, 4.0, 5.0]]
+
+    def test_gradient_gathers_each_rows_destination(self):
+        rng = np.random.default_rng(34)
+        x = T.parameter(rng.standard_normal((3, 2)))
+        rows = np.array([4, 1, 2])
+        mix = rng.standard_normal((3, 4))
+        with T.Tape():
+            loss = sum_all(mul(T.scatter_rows(x, rows, (3, 4)), T.Tensor(mix)))
+        T.backward(loss)
+        np.testing.assert_array_equal(x.grad, mix.reshape(-1, 2)[rows])
+
+    def test_rejects_rows_that_do_not_fit(self):
+        x = T.Tensor(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="cannot place"):
+            T.scatter_rows(x, np.array([0, 1, 2]), (3, 3))
+        with pytest.raises(ValueError, match="cannot place"):
+            T.scatter_rows(x, np.array([0, 1]), (3, 2))
 
 
 class TestBackward:
@@ -361,6 +516,32 @@ class TestBackward:
         y = T.elu(x)  # no tape active
         with pytest.raises(ValueError, match="Tape"):
             T.backward(y)
+
+    def test_seeded_backward_of_per_row_losses(self):
+        x = T.parameter(np.arange(6.0).reshape(3, 2))
+        with T.Tape():
+            rows = T.linear(x, T.Tensor(np.ones((2, 1))), T.Tensor(np.zeros((1, 1))))
+        T.backward(rows, np.array([[1.0], [2.0], [3.0]]))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(ValueError, match="shape"):
+            T.backward(rows, np.ones((1, 3)))
+
+    def test_finished_graph_is_freed_without_the_cycle_collector(self):
+        # the loss owns its graph and the graph owns the tape, with no cycle
+        # back: dropping the loss frees the tape by reference counting alone
+        x = T.parameter(np.ones((2, 2)))
+        gc.disable()
+        try:
+            with T.Tape() as tape:
+                loss = sum_all(T.elu(T.linear(x, T.Tensor(np.eye(2)),
+                                              T.Tensor(np.zeros((1, 2))))))
+            T.backward(loss)
+            tape_ref = weakref.ref(tape)
+            del tape, loss
+            assert tape_ref() is None
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
 
     def test_repeated_backward_accumulates(self):
         x = T.parameter(np.ones((2, 2)))

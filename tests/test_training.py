@@ -191,6 +191,29 @@ class TestLoss:
         assert max_rel_err(logits.grad, numeric) < 1e-6
 
 
+    def test_batch_rows_are_per_sample_losses(self):
+        rng = np.random.default_rng(3)
+        logits = T.parameter(rng.standard_normal((4, 3)))
+        targets = (rng.random((4, 3)) < 0.5).astype(np.int64)
+        weights = rng.random(3) + 0.5
+        with T.Tape():
+            rows = weighted_sigmoid_ce(logits, targets, weights)
+        assert rows.data.shape == (4, 1)
+        for b in range(4):
+            single = weighted_sigmoid_ce(T.Tensor(logits.data[b:b + 1]), targets[b], weights)
+            assert rows.data[b, 0] == pytest.approx(single.item(), rel=1e-15)
+        # one backward of the batch mean: each row's gradient over B
+        T.backward(rows, np.full((4, 1), 0.25))
+
+        def value():
+            z = logits.data
+            per = np.maximum(z, 0) - z * targets + np.log1p(np.exp(-np.abs(z)))
+            return float((weights * per).sum() / 3 / 4)
+
+        numeric = central_diff(value, logits.data, h=1e-6)
+        assert max_rel_err(logits.grad, numeric) < 1e-6
+
+
 class TestClassifierBias:
     def test_half_prior_gives_zero(self):
         assert np.all(init_classifier_bias(3, prior=0.5) == 0.0)
@@ -265,6 +288,19 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             train(_tiny_model(), [], TrainConfig(epochs=1, warmup_epochs=0))
+
+    def test_non_finite_loss_names_the_sample(self):
+        # an overflowing payload in the middle of a batch: the error names
+        # that sample, not the batch's first one
+        samples = _tiny_dataset(8, seed=15)
+        bad = samples[5]
+        samples[5] = Sample(bad.sample_id, [ModalityInstance("x", np.full(4, 1e308))],
+                            bad.labels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError,
+                               match=r"non-finite loss at epoch 0, sample 's0005'"):
+                train(_tiny_model(seed=16), samples,
+                      TrainConfig(epochs=2, warmup_epochs=0, batch_size=8, seed=17))
 
     def test_history_fields(self):
         samples = _tiny_dataset(8, seed=9)
