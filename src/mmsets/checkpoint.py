@@ -84,7 +84,9 @@ def _restore(obj: dict):
     if kind == "fusion":
         model = FusionModel(specs, obj["num_classes"], pool=obj["pool"], **config)
     elif kind == "concat":
-        model = ConcatModel(specs, obj["num_classes"], slots=obj["slots"], **config)
+        model = ConcatModel(specs, obj["num_classes"], **config)
+        if obj["slots"] != model.slots:
+            raise DataError(f"slots {obj['slots']!r} differ from max_instances {model.slots!r}")
     else:
         raise DataError(f"unknown model_kind {kind!r}")
     params = model.named_parameters()

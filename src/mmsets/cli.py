@@ -31,19 +31,16 @@ from .metrics import EvalReport, export_fim
 from .tensor import POOL_MODES
 from .training import TrainConfig, train
 
-def _field_defaults(cls, omit=()) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.name not in omit}
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
 
 
-# The generator and training seeds fall back to MMSETS_SEED, then 0. AdamW's
-# beta1, beta2 and eps are fixed by the recipe: no flag sets them and they
-# stay out of the hashed resolved config.
+# The generator and training seeds fall back to MMSETS_SEED, then 0.
 GEN_DEFAULTS = {**_field_defaults(SyntheticConfig), "seed": None}
 MODEL_DEFAULTS = {**_field_defaults(ModelConfig),
                   "pool": inspect.signature(FusionModel).parameters["pool"].default,
                   "baseline": None, "modalities": None}
-TRAIN_DEFAULTS = {**_field_defaults(TrainConfig, omit=("beta1", "beta2", "eps")),
-                  "seed": None}
+TRAIN_DEFAULTS = {**_field_defaults(TrainConfig), "seed": None}
 EVAL_DEFAULTS = {"kfold": 0, "importance": False, "checkpoint": None}
 
 
@@ -114,8 +111,8 @@ def _select_specs(manifest, resolved: dict):
         return manifest.modalities
     if isinstance(wanted, str):
         wanted = [m.strip() for m in wanted.split(",") if m.strip()]
-    if not isinstance(wanted, list) or not wanted:
-        raise ConfigError("modalities must name at least one modality")
+    if not isinstance(wanted, list) or not wanted or not all(isinstance(m, str) for m in wanted):
+        raise ConfigError(f"modalities must be a nonempty list of modality ids, got {wanted!r}")
     known = {s.modality_id for s in manifest.modalities}
     unknown = sorted(set(wanted) - known)
     if unknown:

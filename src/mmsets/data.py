@@ -80,8 +80,11 @@ def _manifest_from_dict(obj: dict, origin: str) -> DatasetManifest:
     if obj["task"] not in TASKS:
         fail(f"task must be one of {TASKS}, got {obj['task']!r}", "task")
     names = obj["class_names"]
-    if not isinstance(names, list) or not names or len(set(names)) != len(names):
+    if (not isinstance(names, list) or not names
+            or not all(isinstance(name, str) for name in names) or len(set(names)) != len(names)):
         fail("class_names must be a nonempty list of unique strings", "class_names")
+    if not isinstance(obj["modalities"], list):
+        fail("modalities must be a list of modality objects", "modalities")
     specs = []
     for i, spec_obj in enumerate(obj["modalities"]):
         try:
@@ -92,7 +95,7 @@ def _manifest_from_dict(obj: dict, origin: str) -> DatasetManifest:
     if len(set(ids)) != len(ids):
         fail("duplicate modality_id", "modalities")
     count = obj["sample_count"]
-    if not isinstance(count, int) or count < 0:
+    if type(count) is not int or count < 0:
         fail("sample_count must be a non-negative integer", "sample_count")
     return DatasetManifest(modalities=specs, class_names=list(names),
                            task=obj["task"], sample_count=count)

@@ -97,9 +97,8 @@ def _group_accuracy(scores, samples, task: str) -> dict | None:
     return out
 
 
-def run_kfold(samples, task: str, model_factory, train_config: TrainConfig,
-              k: int = 5, seed: int = 0, collect_importance: bool = False,
-              on_epoch=None) -> tuple[EvalReport, list]:
+def run_kfold(samples, task: str, model_factory, train_config: TrainConfig, k: int = 5,
+              seed: int = 0, collect_importance: bool = False) -> tuple[EvalReport, list]:
     """Train and evaluate one model per fold; report per-fold and mean metrics.
 
     ``model_factory(fold_index)`` must return a fresh model. Importance
@@ -116,8 +115,7 @@ def run_kfold(samples, task: str, model_factory, train_config: TrainConfig,
         if pooled_scores is None:
             pooled_scores = np.zeros((len(samples), model.num_classes))
         fold_config = replace(train_config, seed=train_config.seed + fold_index)
-        train(model, [samples[i] for i in train_idx], fold_config, task=task,
-              on_epoch=on_epoch)
+        train(model, [samples[i] for i in train_idx], fold_config, task=task)
         eval_samples = [samples[i] for i in eval_idx]
         metrics, records, scores = evaluate_model(model, eval_samples, task)
         metrics["fold"] = fold_index

@@ -119,10 +119,6 @@ class ImportanceRecord:
                    fractions={m: c / total for m, c in counts.items()})
 
 
-def _canonical_payload_key(payload: np.ndarray) -> bytes:
-    return payload.tobytes()
-
-
 def build_set(sample, specs, rng=None):
     """Canonically ordered (modality_id, payload) elements of a sample.
 
@@ -145,7 +141,7 @@ def build_set(sample, specs, rng=None):
             grouped[inst.modality_id].append(inst.payload)
     elements = []
     for mid in sorted(grouped):
-        payloads = sorted(grouped[mid], key=_canonical_payload_key)
+        payloads = sorted(grouped[mid], key=np.ndarray.tobytes)
         cap = spec_by_id[mid].max_instances
         if len(payloads) > cap:
             if rng is None:
@@ -174,14 +170,14 @@ class DenseEncoder:
         self.weight = T.parameter(_uniform_init(rng, (spec.input_dim, config.dim)))
         self.bias = T.parameter(np.zeros((1, config.dim)))
 
-    def encode(self, payloads, training: bool, rng) -> T.Tensor:
-        """Encode n payloads, one row each; one payload is a block of one.
+    def encode(self, payloads, training: bool, uniforms) -> T.Tensor:
+        """Encode a list of n payloads, one row each.
 
-        ``rng`` feeds the dropout in training mode: a Generator or the [n,D]
-        uniforms already drawn (see ``tensor.dropout``).
+        ``uniforms`` are the [n,D] dropout uniforms in training mode and
+        None in eval (see ``tensor.dropout``).
         """
         try:
-            x = np.array(payloads, dtype=np.float64, ndmin=2)
+            x = np.array(payloads, dtype=np.float64)
         except ValueError:  # payloads of different lengths
             x = None
         if x is None or x.ndim != 2 or x.shape[1] != self.spec.input_dim:
@@ -191,7 +187,7 @@ class DenseEncoder:
                 f"{self.spec.input_dim}, got shape {shapes}"
             )
         h = T.elu(T.linear(T.Tensor(x), self.weight, self.bias))
-        return T.dropout(h, self.dropout_p, training, rng)
+        return T.dropout(h, self.dropout_p, training, uniforms)
 
     def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -221,13 +217,11 @@ class SequenceEncoder:
         )
         self.bias = T.parameter(np.zeros((1, config.dim)))
 
-    def encode(self, payloads, training: bool, rng) -> T.Tensor:
-        """Encode n sequences, one row each; one 1-D int array is a block of one.
+    def encode(self, payloads, training: bool, uniforms) -> T.Tensor:
+        """Encode a list of n sequences, one row each.
 
-        ``rng`` feeds the dropout as in ``DenseEncoder.encode``.
+        ``uniforms`` feed the dropout as in ``DenseEncoder.encode``.
         """
-        if isinstance(payloads, np.ndarray) and payloads.ndim == 1:
-            payloads = [payloads]
         pad_to = max(self.kernel_widths)
         padded = []
         for payload in payloads:
@@ -256,7 +250,7 @@ class SequenceEncoder:
             best, _ = T.reduce_over_set(conv, "max", starts)
             pooled.append(best)
         h = T.elu(T.linear(T.concat(pooled, axis=1), self.projection, self.bias))
-        return T.dropout(h, self.dropout_p, training, rng)
+        return T.dropout(h, self.dropout_p, training, uniforms)
 
     def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
         params = {f"{prefix}.embedding": self.embedding}
@@ -444,25 +438,20 @@ class FusionModel(_ModelCore):
 class ConcatModel(_ModelCore):
     """Fixed-slot concatenation baseline.
 
-    Every modality owns ``slots[modality_id]`` encoder slots (default: its
-    max_instances). Instances fill slots in arrival order, missing slots are
+    Every modality owns ``slots[modality_id]`` encoder slots, its spec's
+    max_instances. Instances fill slots in arrival order, missing slots are
     exact zero blocks, and extra instances are dropped. The concatenated
     [1, sum(slots)*D] vector feeds an MLP. Deliberately not permutation
     invariant. ``config`` takes the ModelConfig fields as keywords.
     """
 
-    def __init__(self, specs, num_classes: int, *, slots=None, seed: int = 0, **config):
-        self.slots = dict(slots) if slots else {s.modality_id: s.max_instances
-                                                for s in specs}
-        if set(self.slots) != {s.modality_id for s in specs}:
-            raise ValueError("slots must cover exactly the model's modalities")
+    def __init__(self, specs, num_classes: int, *, seed: int = 0, **config):
+        self.slots = {s.modality_id: s.max_instances for s in specs}
         super().__init__(specs, num_classes, seed, config)
 
     @property
-    def concat_dim(self) -> int:
+    def combined_dim(self) -> int:
         return sum(self.slots.values()) * self.config.dim
-
-    combined_dim = concat_dim
 
     def forward(self, sample, training: bool = False, rng=None):
         """``forward_batch`` on one sample: (logits [1,C], None)."""

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptySetError
 
 POOL_MODES = ("sum", "max", "min", "mean")
-_ONE_SET = np.zeros(1, dtype=np.intp)
 
 _LOCAL = threading.local()
 
@@ -82,9 +81,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() expects one element, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.data.shape)}, requires_grad={self.requires_grad})"
@@ -177,19 +173,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return register_op(out, (x, weight, bias), backward_fn)
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    """Elementwise x if x > 0 else alpha*(exp(x)-1)."""
+def elu(x: Tensor) -> Tensor:
+    """Elementwise x if x > 0 else exp(x)-1."""
     d = x.data
     neg = d <= 0.0
     out_data = d.copy()
-    out_data[neg] = alpha * np.expm1(d[neg])
+    out_data[neg] = np.expm1(d[neg])
     out = Tensor(out_data)
 
     def backward_fn(g):
         if not _tracked(x):
             return
         dx = g.copy()
-        dx[neg] *= out_data[neg] + alpha  # alpha*exp(x) recovered from the output
+        dx[neg] *= out_data[neg] + 1.0  # exp(x) recovered from the output
         accumulate_grad(x, dx)
 
     return register_op(out, (x,), backward_fn)
@@ -207,22 +203,20 @@ def sigmoid_values(z: np.ndarray) -> np.ndarray:
 
 
 def dropout(x: Tensor, p: float, training: bool,
-            rng: Union[np.random.Generator, np.ndarray, None] = None) -> Tensor:
+            uniforms: Optional[np.ndarray] = None) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by 1/(1-p).
 
-    In training mode ``rng`` is either a Generator, from which the uniforms
-    that decide each entry are drawn row after row, or those uniforms
-    already drawn, an array of the shape of ``x``. Eval mode returns ``x``
-    itself, so the inference path is the exact identity rather than a
-    numerically equivalent copy.
+    In training mode ``uniforms``, an array of the shape of ``x`` drawn by
+    the caller, decides each entry: it is zeroed where its uniform is below
+    ``p``. Eval mode takes None and returns ``x`` itself, so the inference
+    path is the exact identity rather than a numerically equivalent copy.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if not training:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
-    uniforms = rng.random(x.data.shape) if isinstance(rng, np.random.Generator) else rng
+    if uniforms is None:
+        raise ValueError("dropout in training mode needs its uniforms")
     if uniforms.shape != x.data.shape:
         raise ValueError(f"dropout uniforms of shape {uniforms.shape} do not match "
                          f"the input shape {x.data.shape}")
@@ -236,16 +230,16 @@ def dropout(x: Tensor, p: float, training: bool,
     return register_op(out, (x,), backward_fn)
 
 
-def reduce_over_set(x: Tensor, mode: str, starts: Optional[Sequence[int]] = None
+def reduce_over_set(x: Tensor, mode: str, starts: Sequence[int]
                     ) -> tuple[Tensor, Optional[np.ndarray]]:
     """Reduce each set of rows of ``x`` [N,D] to one row: [B,D] for B sets.
 
     ``starts`` holds the first row of each set in ascending order, from 0;
-    a set runs up to the next start, the last one to row N. Without
-    ``starts``, all of ``x`` is one set. For max/min the second return value
-    holds, per set and column, the row of ``x`` that supplied the extremum,
-    [B,D] (or [D] without ``starts``); ties resolve to the lowest row of the
-    set, and a NaN wins as it does in ``np.argmax``. Sum/mean return None.
+    a set runs up to the next start, the last one to row N, so ``[0]`` makes
+    all of ``x`` one set. For max/min the second return value holds, per set
+    and column, the row of ``x`` that supplied the extremum, [B,D]; ties
+    resolve to the lowest row of the set, and a NaN wins as it does in
+    ``np.argmax``. Sum/mean return None.
     Backward routes each set's upstream gradient to every row of the set
     (sum/mean, the latter divided by the set size) or only to the arg rows
     (max/min). An empty set raises EmptySetError.
@@ -256,15 +250,12 @@ def reduce_over_set(x: Tensor, mode: str, starts: Optional[Sequence[int]] = None
     if d.ndim != 2:
         raise ValueError(f"reduce_over_set expects a [N,D] tensor, got shape {d.shape}")
     n_rows = d.shape[0]
-    if starts is None:
-        first, sizes = _ONE_SET, np.array([n_rows])
-    else:
-        first = np.asarray(starts, dtype=np.intp)
-        if first.ndim != 1 or first.size == 0 or first[0] != 0:
-            raise ValueError(f"set starts must be a nonempty 1-D array from 0, got {starts!r}")
-        sizes = np.empty_like(first)
-        np.subtract(first[1:], first[:-1], out=sizes[:-1])
-        sizes[-1] = n_rows - first[-1]
+    first = np.asarray(starts, dtype=np.intp)
+    if first.ndim != 1 or first.size == 0 or first[0] != 0:
+        raise ValueError(f"set starts must be a nonempty 1-D array from 0, got {starts!r}")
+    sizes = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=sizes[:-1])
+    sizes[-1] = n_rows - first[-1]
     smallest = sizes.min()
     if smallest <= 0:
         if smallest < 0:
@@ -302,18 +293,14 @@ def reduce_over_set(x: Tensor, mode: str, starts: Optional[Sequence[int]] = None
             gx[argidx, np.arange(d.shape[1])] = g
         accumulate_grad(x, gx)
 
-    register_op(out, (x,), backward_fn)
-    if starts is None and argidx is not None:
-        return out, argidx[0]
-    return out, argidx
+    return register_op(out, (x,), backward_fn), argidx
 
 
-def conv1d_over_sequence(emb: Tensor, kernels: Tensor,
-                         lengths: Optional[Sequence[int]] = None) -> Tensor:
+def conv1d_over_sequence(emb: Tensor, kernels: Tensor, lengths: Sequence[int]) -> Tensor:
     """Valid-mode 1-D convolution over sequence positions.
 
-    ``emb`` is [L,E]: the sequences back to back, ``lengths`` long (default:
-    one sequence of length L). ``kernels`` is [w,E,F]. The result holds one
+    ``emb`` is [L,E]: the sequences back to back, ``lengths`` long (``[L]``
+    for one sequence). ``kernels`` is [w,E,F]. The result holds one
     row per window that lies inside one sequence: each sequence's
     (length-w+1) windows, in order, sequence after sequence.
     """
@@ -325,7 +312,7 @@ def conv1d_over_sequence(emb: Tensor, kernels: Tensor,
     width, k_emb, _ = kernels.data.shape
     if k_emb != emb_dim:
         raise ValueError(f"embedding width mismatch: sequence {emb_dim}, kernels {k_emb}")
-    lengths = [seq_len] if lengths is None else [int(n) for n in lengths]
+    lengths = [int(n) for n in lengths]
     if sum(lengths) != seq_len:
         raise ValueError(f"sequence lengths {lengths} do not add up to {seq_len}")
     if min(lengths) < width:
@@ -336,18 +323,13 @@ def conv1d_over_sequence(emb: Tensor, kernels: Tensor,
         every += emb.data[j:j + positions] @ kernels.data[j]
     # keep the windows that do not cross from one sequence into the next:
     # output row r, of sequence i, is the window that starts at row r + i*(width-1)
-    keep = None
-    if len(lengths) > 1:
-        windows = np.array(lengths) - (width - 1)
-        keep = np.arange(windows.sum()) + (width - 1) * np.arange(len(lengths)).repeat(windows)
-        every = every[keep]
-    out = Tensor(every)
+    windows = np.array(lengths) - (width - 1)
+    keep = np.arange(windows.sum()) + (width - 1) * np.arange(len(lengths)).repeat(windows)
+    out = Tensor(every[keep])
 
     def backward_fn(g):
-        g_every = g
-        if keep is not None:
-            g_every = np.zeros((positions, g.shape[1]))
-            g_every[keep] = g
+        g_every = np.zeros((positions, g.shape[1]))
+        g_every[keep] = g
         if _tracked(emb):
             de = np.zeros_like(emb.data)
             for j in range(width):

@@ -20,6 +20,7 @@ from . import tensor as T
 from .errors import DataError, NumericError, check_int, check_real
 from .seeding import derive_rng, sample_rng
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's fixed moment decay rates and denominator floor
 
 @dataclass
 class TrainConfig:
@@ -32,9 +33,6 @@ class TrainConfig:
     warmup_epochs: int = 5
     min_lr: float = 0.0
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     class_weighting: bool = False
     seed: int = 0
 
@@ -49,9 +47,6 @@ class TrainConfig:
         check_real("min_lr", self.min_lr, 0.0)
         check_real("peak_lr", self.peak_lr, self.min_lr, open_low=True)
         check_real("weight_decay", self.weight_decay, 0.0)
-        check_real("beta1", self.beta1, 0.0, 1.0)
-        check_real("beta2", self.beta2, 0.0, 1.0)
-        check_real("eps", self.eps, 0.0, open_low=True)
         check_int("seed", self.seed, 0)
         if not isinstance(self.class_weighting, bool):
             raise ValueError(f"class_weighting must be a bool, got {self.class_weighting!r}")
@@ -72,15 +67,11 @@ def lr_at(config: TrainConfig, progress: float) -> float:
 class AdamWState:
     """Per-parameter moment buffers plus the shared step counter."""
 
-    def __init__(self, params: dict[str, T.Tensor], beta1: float = TrainConfig.beta1,
-                 beta2: float = TrainConfig.beta2, eps: float = TrainConfig.eps,
+    def __init__(self, params: dict[str, T.Tensor],
                  weight_decay: float = TrainConfig.weight_decay):
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
 
 
@@ -102,18 +93,18 @@ def adamw_step(params: dict[str, T.Tensor], grads: dict[str, Optional[np.ndarray
         if g is not None and not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = grads.get(name)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        v *= state.beta2
+        m *= BETA1
+        v *= BETA2
         if g is not None:
-            m += (1.0 - state.beta1) * g
-            v += (1.0 - state.beta2) * np.square(g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+            m += (1.0 - BETA1) * g
+            v += (1.0 - BETA2) * np.square(g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         if state.weight_decay:
             p.data *= 1.0 - lr * state.weight_decay
 
@@ -198,8 +189,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     if not samples:
         raise DataError("cannot train on an empty dataset")
     params = model.named_parameters()
-    state = AdamWState(params, beta1=config.beta1, beta2=config.beta2, eps=config.eps,
-                       weight_decay=config.weight_decay)
+    state = AdamWState(params, weight_decay=config.weight_decay)
     labels = np.stack([s.labels for s in samples])
     if config.class_weighting:
         weights = inverse_sqrt_class_weights(labels)

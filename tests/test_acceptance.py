@@ -142,7 +142,7 @@ def test_criterion_3_importance_oracle():
                                       min_inst=1, max_inst=4)
         elements = build_set(sample, specs, None)
         rows = np.concatenate([
-            model.encoders[mid].encode(p, training=False, rng=None).data
+            model.encoders[mid].encode([p], training=False, uniforms=None).data
             for mid, p in elements], axis=0)
         expected = {mid: 0 for mid in model.modality_ids}
         for d in range(dim):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,18 +75,35 @@ def _truncate_first_param(obj):
     return obj
 
 
-@pytest.mark.parametrize("corrupt,match", [
-    (_drop_dim, "missing field 'dim'"),
-    (_truncate_first_param, "malformed"),
-    (lambda obj: [1, 2], "JSON object"),
-    (lambda obj: {**obj, "dropout_p": 1.5}, "dropout_p"),
-    (lambda obj: {**obj, "kernel_widths": []}, "kernel_widths"),
+def _swap_slots(obj):
+    # the slot total, and with it every parameter shape, stays the same
+    (a, na), (b, nb) = obj["slots"].items()
+    obj["slots"] = {a: nb, b: na}
+    return obj
+
+
+def _fusion():
+    return FusionModel(mixed_specs(), num_classes=2, dim=4, embed_dim=4, num_filters=3)
+
+
+def _concat_with_uneven_slots():
+    img, obj = mixed_specs()
+    specs = [replace(img, max_instances=1), replace(obj, max_instances=3)]
+    return ConcatModel(specs, num_classes=2, dim=4, embed_dim=4, num_filters=3)
+
+
+@pytest.mark.parametrize("build,corrupt,match", [
+    (_fusion, _drop_dim, "missing field 'dim'"),
+    (_fusion, _truncate_first_param, "malformed"),
+    (_fusion, lambda obj: [1, 2], "JSON object"),
+    (_fusion, lambda obj: {**obj, "dropout_p": 1.5}, "dropout_p"),
+    (_fusion, lambda obj: {**obj, "kernel_widths": []}, "kernel_widths"),
+    (_concat_with_uneven_slots, _swap_slots, "slots"),
 ], ids=["missing-field", "truncated-base64", "not-an-object", "dropout-out-of-range",
-        "no-kernel-widths"])
-def test_malformed_checkpoint_is_data_error(tmp_path, corrupt, match):
+        "no-kernel-widths", "concat-slots-swapped"])
+def test_malformed_checkpoint_is_data_error(tmp_path, build, corrupt, match):
     path = tmp_path / "ckpt.json"
-    save_checkpoint(FusionModel(mixed_specs(), num_classes=2, dim=4, embed_dim=4,
-                                num_filters=3), path)
+    save_checkpoint(build(), path)
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     with pytest.raises(DataError, match=match):
         load_checkpoint(path)

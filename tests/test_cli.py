@@ -274,9 +274,12 @@ class TestFoldSizes:
     ("eval", {"importance": "no"}, ["--kfold", "2"], "importance"),
     ("gen-synthetic", {"feature_dims": [8.5, 8, 8, 8]}, [], "feature_dims[0]"),
     ("gen-synthetic", {"missing_rates": "x"}, [], "missing_rates"),
+    ("train", {"modalities": [["m0"]]}, [], "modalities"),
+    ("train", {"modalities": [{}]}, [], "modalities"),
 ], ids=["dim-str", "dim-zero", "hidden-zero", "dropout", "class-prior", "peak-lr",
         "no-kernel-widths", "kfold-1", "kfold-over-samples", "importance-str",
-        "feature-dims-float", "missing-rates-str"])
+        "feature-dims-float", "missing-rates-str", "modalities-nested-list",
+        "modalities-object"])
 def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, config,
                                                  flags, named):
     if command != "gen-synthetic":

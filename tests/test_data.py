@@ -111,6 +111,17 @@ class TestLoader:
             load_dataset(*paths)
         assert info.value.sample_id is None  # not blamed on a sample
 
+    @pytest.mark.parametrize("field,value", [("modalities", 5), ("class_names", [[1], [2]]),
+                                             ("class_names", [1, 2]), ("sample_count", True)],
+                             ids=["modalities-int", "class-names-lists", "class-names-ints",
+                                  "sample-count-bool"])
+    def test_manifest_field_types_checked(self, tmp_path, field, value):
+        obj = small_manifest().to_dict()
+        obj[field] = value
+        paths = write_dataset(tmp_path, obj, [sample_line()])
+        with pytest.raises(DataError, match=rf"manifest.json:{field}"):
+            load_dataset(*paths)
+
     @pytest.mark.parametrize("labels", [[True, False], [1.0, 0.0]])
     def test_labels_must_be_integer_zero_one(self, tmp_path, labels):
         paths = write_dataset(tmp_path, small_manifest().to_dict(),

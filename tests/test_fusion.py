@@ -17,7 +17,7 @@ def encode_elements(model, elements):
     blocks stack in element order."""
     return np.concatenate([
         model.encoders[mid].encode([p for m, p in elements if m == mid],
-                                   training=False, rng=None).data
+                                   training=False, uniforms=None).data
         for mid in model.modality_ids if any(m == mid for m, _ in elements)], axis=0)
 
 
@@ -105,7 +105,7 @@ class TestEncoders:
         enc = model.encoders["img"]
         enc.weight.data[:] = 0.0
         enc.bias.data[:] = 0.0
-        out = enc.encode([np.arange(6.0), np.ones(6)], training=False, rng=None)
+        out = enc.encode([np.arange(6.0), np.ones(6)], training=False, uniforms=None)
         assert np.all(out.data == 0.0)
         assert out.data.shape == (2, 8)
 
@@ -113,35 +113,36 @@ class TestEncoders:
     def test_output_dim_independent_of_input_dim(self, input_dim):
         model = FusionModel([ModalitySpec("img", "dense", input_dim=input_dim)],
                             num_classes=2, dim=16)
-        out = model.encoders["img"].encode([np.zeros(input_dim)], training=False, rng=None)
+        out = model.encoders["img"].encode([np.zeros(input_dim)], training=False, uniforms=None)
         assert out.data.shape == (1, 16)
 
     def test_dense_dimension_mismatch(self):
         model = FusionModel([ModalitySpec("img", "dense", input_dim=6)],
                             num_classes=2, dim=8)
         with pytest.raises(ValueError, match="length 6"):
-            model.encoders["img"].encode([np.zeros(5)], training=False, rng=None)
+            model.encoders["img"].encode([np.zeros(5)], training=False, uniforms=None)
         with pytest.raises(ValueError, match="length 6"):  # one bad row in a block
-            model.encoders["img"].encode([np.zeros(6), np.zeros(5)], training=False, rng=None)
+            model.encoders["img"].encode([np.zeros(6), np.zeros(5)], training=False, uniforms=None)
 
     def test_sequence_out_of_vocab(self):
         model = FusionModel([ModalitySpec("obj", "index_sequence", vocab_size=5)],
                             num_classes=2, dim=8, embed_dim=4, num_filters=3)
         with pytest.raises(ValueError, match="out of range"):
-            model.encoders["obj"].encode([np.array([5])], training=False, rng=None)
+            model.encoders["obj"].encode([np.array([5])], training=False, uniforms=None)
         with pytest.raises(ValueError, match="out of range"):
             model.encoders["obj"].encode([np.array([1, 2]), np.array([0, 5])],
-                                         training=False, rng=None)
+                                         training=False, uniforms=None)
 
     def test_short_sequence_padded_not_crashing(self):
         model = FusionModel([ModalitySpec("obj", "index_sequence", vocab_size=5)],
                             num_classes=2, dim=8, embed_dim=4, num_filters=3)
         enc = model.encoders["obj"]
-        out = enc.encode([np.array([2]), np.array([1, 3, 4, 0, 2, 2])], training=False, rng=None)
+        out = enc.encode([np.array([2]), np.array([1, 3, 4, 0, 2, 2])], training=False,
+                         uniforms=None)
         assert out.data.shape == (2, 8)
         # a short sequence in a block encodes as it does alone: padded to the
         # widest kernel, and its max-over-time sees only its own windows
-        alone = enc.encode([np.array([2])], training=False, rng=None)
+        alone = enc.encode([np.array([2])], training=False, uniforms=None)
         np.testing.assert_allclose(out.data[:1], alone.data, rtol=0, atol=1e-12)
 
     def test_tape_records_per_layer(self):
@@ -152,7 +153,8 @@ class TestEncoders:
         encoder = DenseEncoder(ModalitySpec("img", "dense", input_dim=6), ModelConfig(dim=8), rng)
         predictor = Mlp([8, 5, 2], rng)
         with T.Tape() as tape:
-            h = encoder.encode([np.arange(6.0), np.ones(6), np.zeros(6)], training=True, rng=rng)
+            h = encoder.encode([np.arange(6.0), np.ones(6), np.zeros(6)], training=True,
+                               uniforms=rng.random((3, 8)))
             assert len(tape) == 3
             predictor(h)
             assert len(tape) == 6
@@ -162,7 +164,7 @@ class TestEncoders:
                                     ModelConfig(dim=8), rng)
         for block in ([np.array([1, 2])], [np.array([1, 2]), np.array([0, 3, 4, 1, 1])]):
             with T.Tape() as tape:
-                sequences.encode(block, training=True, rng=rng)
+                sequences.encode(block, training=True, uniforms=rng.random((len(block), 8)))
             assert len(tape) == 1 + 2 * 3 + 4
 
     def test_encoder_gradients_match_fd(self):
@@ -192,7 +194,7 @@ class TestForward:
         model = FusionModel([spec], num_classes=3, dim=8, pool="max")
         sample = make_sample({"img": [np.array([1.0, -2.0, 0.5, 3.0])]}, num_classes=3)
         encoded = model.encoders["img"].encode([sample.instances[0].payload],
-                                               training=False, rng=None)
+                                               training=False, uniforms=None)
         logits, record = model.forward(sample)
         np.testing.assert_array_equal(model.predictor(encoded).data, logits.data)
         assert record.fractions == {"img": 1.0}
@@ -280,14 +282,14 @@ class TestForward:
         model = FusionModel([spec], num_classes=2, dim=8, pool="max")
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((5, 8))
-        pooled, arg = T.reduce_over_set(T.Tensor(rows), "max")
+        pooled, arg = T.reduce_over_set(T.Tensor(rows), "max", [0])
         margins = pooled.data[0] - np.sort(rows, axis=0)[-2]
         d = int(np.argmax(margins))
-        r = int((arg[d] + 1) % 5)  # any non-selected row in dimension d
+        r = int((arg[0, d] + 1) % 5)  # any non-selected row in dimension d
         perturbed = rows.copy()
         perturbed[r, d] += margins[d] * 0.5
         base = model.predictor(pooled)
-        after = model.predictor(T.reduce_over_set(T.Tensor(perturbed), "max")[0])
+        after = model.predictor(T.reduce_over_set(T.Tensor(perturbed), "max", [0])[0])
         assert np.array_equal(base.data, after.data)
 
     def test_adding_instances_never_changes_parameter_count(self):
@@ -391,7 +393,7 @@ class TestConcatBaseline:
         logits, record = model.forward(sample)
         assert record is None
         # reconstruct the concat input: slots are (a:1, b:2) in sorted order
-        enc = model.encoders["a"].encode([np.ones(3)], training=False, rng=None)
+        enc = model.encoders["a"].encode([np.ones(3)], training=False, uniforms=None)
         expected = np.concatenate([enc.data, np.zeros((1, 8))], axis=1)
         np.testing.assert_array_equal(
             model.predictor(T.Tensor(expected)).data, logits.data)
@@ -400,7 +402,7 @@ class TestConcatBaseline:
         specs = [ModalitySpec("a", "dense", input_dim=3, max_instances=1),
                  ModalitySpec("b", "dense", input_dim=3, max_instances=10)]
         model = ConcatModel(specs, num_classes=2, dim=4)
-        assert model.concat_dim == (1 + 10) * 4
+        assert model.combined_dim == (1 + 10) * 4
 
     def test_not_permutation_invariant(self):
         spec = ModalitySpec("a", "dense", input_dim=2, max_instances=2)

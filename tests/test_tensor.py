@@ -79,10 +79,6 @@ class TestElu:
         assert out.data[0, 0] == pytest.approx(math.expm1(-1.0), abs=1e-15)
         assert out.data[0, 0] == pytest.approx(-0.6321205588285577, abs=1e-12)
 
-    def test_alpha_scales_negative_branch(self):
-        out = T.elu(T.Tensor([[-2.0]]), alpha=0.5)
-        assert out.data[0, 0] == pytest.approx(0.5 * math.expm1(-2.0), abs=1e-15)
-
     def test_gradient(self):
         rng = np.random.default_rng(2)
         x = T.parameter(rng.standard_normal((2, 5)))
@@ -126,19 +122,19 @@ class TestDropout:
 
     def test_p_zero_training_is_identity(self):
         x = T.Tensor([[1.0, -2.0]])
-        out = T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        out = T.dropout(x, 0.0, training=True, uniforms=np.random.default_rng(0).random(x.shape))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_invalid_probability(self):
         x = T.Tensor([[1.0]])
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                T.dropout(x, p, training=True, rng=np.random.default_rng(0))
+                T.dropout(x, p, training=True, uniforms=np.random.default_rng(0).random(x.shape))
 
     def test_monte_carlo_rate_and_mean(self):
         rng = np.random.default_rng(5)
         x = T.Tensor(np.full((1000, 1000), 2.0))
-        out = T.dropout(x, 0.25, training=True, rng=rng)
+        out = T.dropout(x, 0.25, training=True, uniforms=rng.random(x.shape))
         zero_fraction = float(np.mean(out.data == 0.0))
         assert abs(zero_fraction - 0.25) < 0.005
         assert abs(out.data.mean() - 2.0) / 2.0 < 0.01
@@ -147,7 +143,8 @@ class TestDropout:
         x = T.parameter(np.linspace(-1, 1, 12).reshape(3, 4))
 
         def forward():
-            return T.dropout(x, 0.5, training=True, rng=np.random.default_rng(11))
+            return T.dropout(x, 0.5, training=True,
+                             uniforms=np.random.default_rng(11).random(x.shape))
 
         scalar_loss(forward)
         numeric = central_diff(lambda: float(forward().data.sum()), x.data, h=1e-6)
@@ -155,16 +152,15 @@ class TestDropout:
 
 
     def test_predrawn_uniforms_match_the_generator(self):
-        # a block of uniforms drawn at once equals the same stream drawn row
-        # by row, which is how a batch reproduces each sample's masks
+        # the caller's uniforms alone decide the mask; they must fit x
         x = T.Tensor(np.arange(1.0, 13.0).reshape(3, 4))
-        drawn = T.dropout(x, 0.5, training=True, rng=np.random.default_rng(3))
-        rng = np.random.default_rng(3)
-        rows = np.vstack([rng.random((1, 4)) for _ in range(3)])
-        given = T.dropout(x, 0.5, training=True, rng=rows)
-        np.testing.assert_array_equal(drawn.data, given.data)
+        rows = np.random.default_rng(3).random((3, 4))
+        given = T.dropout(x, 0.5, training=True, uniforms=rows)
+        np.testing.assert_array_equal(given.data, x.data * (rows >= 0.5) / 0.5)
         with pytest.raises(ValueError, match="shape"):
-            T.dropout(x, 0.5, training=True, rng=rows[:2])
+            T.dropout(x, 0.5, training=True, uniforms=rows[:2])
+        with pytest.raises(ValueError, match="uniforms"):
+            T.dropout(x, 0.5, training=True)
 
 
 # rows of x: sets [0,3), [3,4), [4,8) -- ragged, and a singleton among them
@@ -186,9 +182,9 @@ def _segment_oracle(d, starts, mode):
 
 class TestReduceOverSet:
     def test_max_values_and_argidx(self):
-        out, arg = T.reduce_over_set(T.Tensor([[1.0, 3.0], [2.0, 1.0]]), "max")
+        out, arg = T.reduce_over_set(T.Tensor([[1.0, 3.0], [2.0, 1.0]]), "max", [0])
         assert out.data.tolist() == [[2.0, 3.0]]
-        assert arg.tolist() == [1, 0]
+        assert arg[0].tolist() == [1, 0]
         # two sets: arg rows index x, not the set
         x = T.Tensor([[1.0, 3.0], [2.0, 1.0], [0.0, 5.0], [4.0, -1.0], [9.0, 0.0]])
         out, arg = T.reduce_over_set(x, "max", [0, 2])
@@ -210,7 +206,7 @@ class TestReduceOverSet:
                     np.testing.assert_array_equal(out.data, expected)
 
     def test_sum(self):
-        out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "sum")
+        out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "sum", [0])
         assert out.data.tolist() == [[4.0, 6.0]]
         assert arg is None
         out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
@@ -219,17 +215,17 @@ class TestReduceOverSet:
         assert arg is None
 
     def test_mean(self):
-        out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "mean")
+        out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "mean", [0])
         assert out.data.tolist() == [[2.0, 3.0]]
         out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
                                    "mean", [0, 1])
         assert out.data.tolist() == [[1.0, 2.0], [4.0, 5.0]]
 
     def test_min_ties_take_lowest_row(self):
-        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "min")
-        assert arg.tolist() == [0, 0]
-        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "max")
-        assert arg.tolist() == [0, 0]
+        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "min", [0])
+        assert arg[0].tolist() == [0, 0]
+        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "max", [0])
+        assert arg[0].tolist() == [0, 0]
         # within each set, ragged or not: the set's lowest tied row wins
         tied = T.Tensor(np.array([[5.0, 1.0]] * 5 + [[2.0, 2.0]] * 2))
         for mode in ("min", "max"):
@@ -241,7 +237,7 @@ class TestReduceOverSet:
     def test_max_gradient_routing(self):
         x = T.parameter([[1.0, 3.0], [2.0, 1.0]])
         with T.Tape():
-            out, _ = T.reduce_over_set(x, "max")
+            out, _ = T.reduce_over_set(x, "max", [0])
             loss = sum_all(out)  # upstream gradient [1, 1]
         T.backward(loss)
         assert x.grad.tolist() == [[0.0, 1.0], [1.0, 0.0]]
@@ -251,11 +247,11 @@ class TestReduceOverSet:
         for mode in ("max", "min"):
             x = T.parameter(rng.standard_normal((5, 4)))
             with T.Tape():
-                out, arg = T.reduce_over_set(x, mode)
+                out, arg = T.reduce_over_set(x, mode, [0])
                 loss = sum_all(out)
             T.backward(loss)
             selected = np.zeros_like(x.data, dtype=bool)
-            selected[arg, np.arange(4)] = True
+            selected[arg[0], np.arange(4)] = True
             assert np.all(x.grad[~selected] == 0.0)
             assert np.all(x.grad[selected] == 1.0)
 
@@ -265,7 +261,7 @@ class TestReduceOverSet:
                     "mean": lambda d: d.mean(axis=0).sum()}
         for mode, ref in reducers.items():
             x = T.parameter(rng.standard_normal((4, 3)))
-            scalar_loss(lambda: T.reduce_over_set(x, mode)[0])
+            scalar_loss(lambda: T.reduce_over_set(x, mode, [0])[0])
             numeric = central_diff(lambda: float(ref(x.data)), x.data, h=1e-6)
             assert max_rel_err(x.grad, numeric) < 1e-6
 
@@ -287,7 +283,7 @@ class TestReduceOverSet:
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
-            T.reduce_over_set(T.Tensor(np.zeros((0, 4))), "sum")
+            T.reduce_over_set(T.Tensor(np.zeros((0, 4))), "sum", [0])
         for mode in T.POOL_MODES:
             for starts in ([0, 2, 2], [0, 3]):  # an empty middle set, an empty last set
                 with pytest.raises(EmptySetError):
@@ -301,11 +297,11 @@ class TestReduceOverSet:
         rows = rng.standard_normal((7, 5))
         canonical = rows[np.lexsort(rows.T[::-1])]
         for mode in T.POOL_MODES:
-            base, _ = T.reduce_over_set(T.Tensor(canonical), mode)
+            base, _ = T.reduce_over_set(T.Tensor(canonical), mode, [0])
             for _ in range(5):
                 shuffled = rows[rng.permutation(7)]
                 resorted = shuffled[np.lexsort(shuffled.T[::-1])]
-                out, _ = T.reduce_over_set(T.Tensor(resorted), mode)
+                out, _ = T.reduce_over_set(T.Tensor(resorted), mode, [0])
                 assert np.array_equal(out.data, base.data)  # bit-exact
 
 
@@ -313,20 +309,20 @@ class TestConv1d:
     def test_single_position_when_length_equals_width(self):
         rng = np.random.default_rng(9)
         out = T.conv1d_over_sequence(T.Tensor(rng.standard_normal((3, 4))),
-                                     T.Tensor(rng.standard_normal((3, 4, 2))))
+                                     T.Tensor(rng.standard_normal((3, 4, 2))), [3])
         assert out.data.shape == (1, 2)
 
     def test_zero_kernels_zero_output(self):
         rng = np.random.default_rng(10)
         out = T.conv1d_over_sequence(T.Tensor(rng.standard_normal((6, 4))),
-                                     T.Tensor(np.zeros((2, 4, 3))))
+                                     T.Tensor(np.zeros((2, 4, 3))), [6])
         assert np.all(out.data == 0.0)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(11)
         emb = rng.standard_normal((5, 4))
         kernels = rng.standard_normal((2, 4, 3))
-        out = T.conv1d_over_sequence(T.Tensor(emb), T.Tensor(kernels)).data
+        out = T.conv1d_over_sequence(T.Tensor(emb), T.Tensor(kernels), [5]).data
         expected = np.zeros((4, 3))
         for p in range(4):
             for f in range(3):
@@ -338,13 +334,13 @@ class TestConv1d:
     def test_sequence_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             T.conv1d_over_sequence(T.Tensor(np.zeros((2, 4))),
-                                   T.Tensor(np.zeros((3, 4, 1))))
+                                   T.Tensor(np.zeros((3, 4, 1))), [2])
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(12)
         emb = T.parameter(rng.standard_normal((5, 3)))
         kernels = T.parameter(rng.standard_normal((2, 3, 2)))
-        scalar_loss(lambda: T.conv1d_over_sequence(emb, kernels))
+        scalar_loss(lambda: T.conv1d_over_sequence(emb, kernels, [5]))
 
         def value():
             total = 0.0
@@ -363,7 +359,7 @@ class TestConv1d:
         parts = [rng.standard_normal((n, 4)) for n in lengths]
         kernels = T.Tensor(rng.standard_normal((3, 4, 2)))
         joined = T.conv1d_over_sequence(T.Tensor(np.concatenate(parts)), kernels, lengths)
-        expected = np.concatenate([T.conv1d_over_sequence(T.Tensor(p), kernels).data
+        expected = np.concatenate([T.conv1d_over_sequence(T.Tensor(p), kernels, [len(p)]).data
                                    for p in parts])
         assert joined.data.shape == (1 + 3 + 2, 2)
         np.testing.assert_allclose(joined.data, expected, rtol=0, atol=1e-12)
@@ -427,7 +423,7 @@ class TestStructuralOps:
         rows = [T.parameter(rng.standard_normal((1, 4))) for _ in range(3)]
         with T.Tape():
             stacked = T.concat(rows, axis=0)
-            out, _ = T.reduce_over_set(stacked, "mean")
+            out, _ = T.reduce_over_set(stacked, "mean", [0])
             loss = sum_all(out)
         T.backward(loss)
         for r in rows:
@@ -582,7 +578,7 @@ def test_gradcheck_fifty_random_instances():
         b = T.parameter(rng.standard_normal((1, 5)))
         with T.Tape():
             h = T.elu(T.linear(x, w, b))
-            r, _ = T.reduce_over_set(h, mode)
+            r, _ = T.reduce_over_set(h, mode, [0])
             loss = sum_all(sigmoid(r))
         T.backward(loss)
         for p in (x, w, b):
@@ -600,8 +596,8 @@ def test_tape_replay_determinism():
         w = T.parameter(rng.standard_normal((4, 2)))
         with T.Tape():
             h = T.dropout(T.elu(T.linear(x, w, T.Tensor(np.zeros((1, 2))))), 0.25,
-                          training=True, rng=np.random.default_rng(7))
-            out, _ = T.reduce_over_set(h, "max")
+                          training=True, uniforms=np.random.default_rng(7).random((3, 2)))
+            out, _ = T.reduce_over_set(h, "max", [0])
             loss = sum_all(out)
         T.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
