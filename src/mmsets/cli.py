@@ -164,6 +164,8 @@ def _prepare(args, extra_defaults: dict, extra_flags: dict):
     if not args.data:
         raise ConfigError("--data is required")
     manifest, samples = load_dataset_dir(args.data)
+    if not samples:
+        raise DataError("the dataset holds no samples", field=str(args.data))
     flag_cfg = {"pool": args.pool, "dim": args.dim, "baseline": args.baseline,
                 "modalities": args.modalities, "epochs": args.epochs, "seed": args.seed,
                 "batch_size": args.batch_size, "warmup_epochs": args.warmup_epochs,
@@ -174,6 +176,22 @@ def _prepare(args, extra_defaults: dict, extra_flags: dict):
     resolved["command"] = args.command
     return (manifest, samples, resolved, _model_builder(manifest, resolved),
             _config(TrainConfig, resolved))
+
+
+def _check_checkpoint_fits(model, manifest) -> None:
+    """The checkpoint's classes, and the shape of each modality it shares with
+    the dataset, must be the manifest's."""
+    if model.num_classes != manifest.num_classes:
+        raise DataError(f"checkpoint has {model.num_classes} classes, the dataset "
+                        f"{manifest.num_classes}", field="num_classes")
+    declared = {s.modality_id: s for s in manifest.modalities}
+    for spec in model.specs:
+        other = declared.get(spec.modality_id)
+        for name in ("kind", "input_dim", "vocab_size"):
+            if other is not None and getattr(spec, name) != getattr(other, name):
+                raise DataError(f"checkpoint has {getattr(spec, name)!r}, the dataset "
+                                f"{getattr(other, name)!r}",
+                                field=f"modalities.{spec.modality_id}.{name}")
 
 
 def cmd_train(args) -> int:
@@ -208,6 +226,9 @@ def cmd_eval(args) -> int:
                           f"{len(samples)}, got {k!r}")
     if not k and not (resolved["checkpoint"] and isinstance(resolved["checkpoint"], str)):
         raise ConfigError("eval needs --kfold K or --checkpoint PATH")
+    if not k:
+        model, _ = load_checkpoint(resolved["checkpoint"])
+        _check_checkpoint_fits(model, manifest)
 
     run_dir = _run_dir(resolved, args.out)
     records = []
@@ -221,7 +242,6 @@ def cmd_eval(args) -> int:
                                     collect_importance=resolved["importance"])
         tag = f"{'concat' if resolved['baseline'] else resolved['pool']}_D{resolved['dim']}"
     else:
-        model, _ = load_checkpoint(resolved["checkpoint"])
         metrics, records, _ = evaluate_model(model, samples, manifest.task)
         metrics["fold"] = 0
         fim = None

@@ -75,7 +75,7 @@ def _manifest_from_dict(obj: dict, origin: str) -> DatasetManifest:
     for key in ("format_version", "task", "class_names", "sample_count", "modalities"):
         if key not in obj:
             fail(f"missing key {key!r}", key)
-    if obj["format_version"] != FORMAT_VERSION:
+    if type(obj["format_version"]) is not int or obj["format_version"] != FORMAT_VERSION:
         fail(f"unsupported format_version {obj['format_version']!r}", "format_version")
     if obj["task"] not in TASKS:
         fail(f"task must be one of {TASKS}, got {obj['task']!r}", "task")

@@ -119,40 +119,46 @@ class ImportanceRecord:
                    fractions={m: c / total for m, c in counts.items()})
 
 
-def build_set(sample, specs, rng=None):
-    """Canonically ordered (modality_id, payload) elements of a sample.
+def _group_by_modality(sample, modality_ids) -> dict[str, list[np.ndarray]]:
+    """A sample's payloads per id of ``modality_ids``, in that order, each list
+    in arrival order; instances of other modalities are left out."""
+    grouped = {mid: [] for mid in modality_ids}
+    for inst in sample.instances:
+        if inst.modality_id in grouped:
+            grouped[inst.modality_id].append(inst.payload)
+    return grouped
 
-    Instances are grouped by modality, ordered by payload content, and
-    subsampled without replacement down to the modality's cap. Keying the
-    order on content (not on storage position) makes the element list, and
-    therefore every downstream pooling reduction, independent of the order
-    in which instances arrived; subsampling picks positions in the sorted
-    list, so it inherits the same independence.
+
+def build_set(sample, specs, rng=None):
+    """A sample's set as ``{modality_id: [payload]}``, one entry per spec in
+    id order.
+
+    Each list is ordered by payload content and subsampled without
+    replacement down to the modality's cap. Keying the order on content (not
+    on storage position) makes the set, and therefore every downstream
+    pooling reduction, independent of the order in which instances arrived;
+    subsampling picks positions in the sorted list, so it inherits the same
+    independence.
 
     When ``rng`` is None the stream used by inference forwards is derived
     from the sample id, so a standalone call reproduces exactly the set an
     eval-mode forward sees. Instances of modalities absent from ``specs``
     are ignored. Raises EmptySetError when nothing usable remains.
     """
-    spec_by_id = {spec.modality_id: spec for spec in specs}
-    grouped: dict[str, list[np.ndarray]] = {mid: [] for mid in spec_by_id}
-    for inst in sample.instances:
-        if inst.modality_id in grouped:
-            grouped[inst.modality_id].append(inst.payload)
-    elements = []
-    for mid in sorted(grouped):
-        payloads = sorted(grouped[mid], key=np.ndarray.tobytes)
-        cap = spec_by_id[mid].max_instances
-        if len(payloads) > cap:
+    specs = sorted(specs, key=lambda spec: spec.modality_id)
+    grouped = _group_by_modality(sample, [spec.modality_id for spec in specs])
+    for spec in specs:
+        payloads = sorted(grouped[spec.modality_id], key=np.ndarray.tobytes)
+        if len(payloads) > spec.max_instances:
             if rng is None:
                 rng = derive_rng("eval", sample.sample_id)
-            keep = rng.choice(len(payloads), size=cap, replace=False)
+            keep = rng.choice(len(payloads), size=spec.max_instances, replace=False)
             payloads = [payloads[i] for i in sorted(keep)]
-        elements.extend((mid, p) for p in payloads)
-    if not elements:
+        grouped[spec.modality_id] = payloads
+    if not any(grouped.values()):
         raise EmptySetError("no usable instances after filtering to known modalities",
                             sample_id=sample.sample_id)
-    return elements
+    return grouped
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -162,20 +168,15 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
 
 
 class DenseEncoder:
-    """Single FC layer with ELU and dropout: a block of payloads [n,M] -> [n,D]."""
+    """Single FC layer with ELU: a block of payloads [n,M] -> [n,D]."""
 
     def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
         self.spec = spec
-        self.dropout_p = config.dropout_p
         self.weight = T.parameter(_uniform_init(rng, (spec.input_dim, config.dim)))
         self.bias = T.parameter(np.zeros((1, config.dim)))
 
-    def encode(self, payloads, training: bool, uniforms) -> T.Tensor:
-        """Encode a list of n payloads, one row each.
-
-        ``uniforms`` are the [n,D] dropout uniforms in training mode and
-        None in eval (see ``tensor.dropout``).
-        """
+    def encode(self, payloads) -> T.Tensor:
+        """Encode a list of n payloads, one row each."""
         try:
             x = np.array(payloads, dtype=np.float64)
         except ValueError:  # payloads of different lengths
@@ -186,8 +187,7 @@ class DenseEncoder:
                 f"modality {self.spec.modality_id!r} expects vectors of length "
                 f"{self.spec.input_dim}, got shape {shapes}"
             )
-        h = T.elu(T.linear(T.Tensor(x), self.weight, self.bias))
-        return T.dropout(h, self.dropout_p, training, uniforms)
+        return T.elu(T.linear(T.Tensor(x), self.weight, self.bias))
 
     def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -205,7 +205,6 @@ class SequenceEncoder:
 
     def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
         self.spec = spec
-        self.dropout_p = config.dropout_p
         self.kernel_widths = config.kernel_widths
         self.embedding = T.parameter(_uniform_init(rng, (spec.vocab_size, config.embed_dim)))
         self.kernels = {
@@ -217,11 +216,8 @@ class SequenceEncoder:
         )
         self.bias = T.parameter(np.zeros((1, config.dim)))
 
-    def encode(self, payloads, training: bool, uniforms) -> T.Tensor:
-        """Encode a list of n sequences, one row each.
-
-        ``uniforms`` feed the dropout as in ``DenseEncoder.encode``.
-        """
+    def encode(self, payloads) -> T.Tensor:
+        """Encode a list of n sequences, one row each."""
         pad_to = max(self.kernel_widths)
         padded = []
         for payload in payloads:
@@ -249,8 +245,7 @@ class SequenceEncoder:
             starts = list(accumulate((n - w + 1 for n in lengths[:-1]), initial=0))
             best, _ = T.reduce_over_set(conv, "max", starts)
             pooled.append(best)
-        h = T.elu(T.linear(T.concat(pooled, axis=1), self.projection, self.bias))
-        return T.dropout(h, self.dropout_p, training, uniforms)
+        return T.elu(T.linear(T.concat(pooled, axis=1), self.projection, self.bias))
 
     def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
         params = {f"{prefix}.embedding": self.embedding}
@@ -324,42 +319,37 @@ class _ModelCore:
             raise ValueError(f"got {len(rngs)} rngs for {len(samples)} samples")
         return rngs
 
-    def _encode(self, element_lists, training: bool, rngs):
+    def _encode(self, groups, training: bool, rngs):
         """Encode every element of a batch, one block per modality.
 
-        ``element_lists[b]`` holds sample b's (modality_id, payload) pairs in
-        its element order; "sample-major" numbers all the elements in that
-        order, sample after sample. Returns the encoded rows, modality after
-        modality, and each row's sample-major position; None and an empty
-        array when the batch has no elements. In training mode each sample
-        draws its rows' dropout uniforms from its own stream, in element
-        order, as one block.
+        ``groups[b]`` maps each modality id, in id order, to sample b's
+        payloads, as ``build_set`` returns them; "sample-major" numbers all
+        the elements in that order, sample after sample. Returns the encoded
+        rows, modality after modality, and each row's sample-major position;
+        None and an empty array when the batch has no elements. In training
+        mode dropout then covers all the rows at once: each sample draws its
+        rows' uniforms from its own stream, in its element order, as one
+        block.
         """
         positions = {mid: [] for mid in self.modality_ids}
         payloads = {mid: [] for mid in self.modality_ids}
         n = 0
-        for elements in element_lists:
-            for mid, payload in elements:
-                positions[mid].append(n)
-                payloads[mid].append(payload)
-                n += 1
+        for group in groups:
+            for mid, got in group.items():
+                positions[mid].extend(range(n, n + len(got)))
+                payloads[mid].extend(got)
+                n += len(got)
         order = np.array([i for mid in self.modality_ids for i in positions[mid]],
                          dtype=np.intp)
         if n == 0:
             return None, order
-        uniforms = None
+        rows = T.concat([self.encoders[mid].encode(payloads[mid])
+                         for mid in self.modality_ids if payloads[mid]], axis=0)
         if training:
-            uniforms = np.concatenate([rng.random((len(elements), self.config.dim))
-                                       for elements, rng in zip(element_lists, rngs)])[order]
-        blocks = []
-        lo = 0
-        for mid in self.modality_ids:
-            hi = lo + len(payloads[mid])
-            if hi > lo:
-                blocks.append(self.encoders[mid].encode(
-                    payloads[mid], training, None if uniforms is None else uniforms[lo:hi]))
-            lo = hi
-        return T.concat(blocks, axis=0), order
+            uniforms = np.concatenate([rng.random((sum(map(len, g.values())), self.config.dim))
+                                       for g, rng in zip(groups, rngs)])
+            rows = T.dropout(rows, self.config.dropout_p, uniforms[order])
+        return rows, order
 
     def named_parameters(self) -> dict[str, T.Tensor]:
         params = {}
@@ -382,7 +372,6 @@ class FusionModel(_ModelCore):
                  **config):
         self.pool = pool
         super().__init__(specs, num_classes, seed, config)
-        self._mod_index = {m: i for i, m in enumerate(self.modality_ids)}
 
     @property
     def combined_dim(self) -> int:
@@ -419,15 +408,15 @@ class FusionModel(_ModelCore):
         subsampling, so repeated calls are bit-identical.
         """
         rngs = self._sample_rngs(samples, training, rngs)
-        element_lists = [build_set(s, self.specs, rng) for s, rng in zip(samples, rngs)]
-        rows, order = self._encode(element_lists, training, rngs)
-        sizes = np.array([len(elements) for elements in element_lists])
+        groups = [build_set(s, self.specs, rng) for s, rng in zip(samples, rngs)]
+        rows, order = self._encode(groups, training, rngs)
+        sizes = np.array([sum(map(len, group.values())) for group in groups])
         x = T.scatter_rows(rows, order, (order.size, self.config.dim))
         pooled, argidx = T.reduce_over_set(x, self.pool, np.cumsum(sizes) - sizes)
         records = [None] * len(samples)
         if argidx is not None:
-            owners = np.array([self._mod_index[mid] for elements in element_lists
-                               for mid, _ in elements])
+            owners = np.array([i for group in groups
+                               for i, got in enumerate(group.values()) for _ in got])
             for b, sample in enumerate(samples):
                 won = np.bincount(owners[argidx[b]], minlength=len(self.modality_ids))
                 counts = {m: int(won[i]) for i, m in enumerate(self.modality_ids)}
@@ -468,19 +457,16 @@ class ConcatModel(_ModelCore):
         """
         rngs = self._sample_rngs(samples, training, rngs)
         n_slots = sum(self.slots.values())
-        element_lists, slot_rows = [], []
+        groups, slot_rows = [], []
         for b, sample in enumerate(samples):
-            elements = []
+            group = _group_by_modality(sample, self.modality_ids)
             first = b * n_slots
-            for spec in self.specs:
-                mid = spec.modality_id
-                got = [inst.payload for inst in sample.instances if inst.modality_id == mid]
-                got = got[: self.slots[mid]]
-                elements.extend((mid, payload) for payload in got)
+            for mid, got in group.items():
+                del got[self.slots[mid]:]
                 slot_rows.extend(range(first, first + len(got)))
                 first += self.slots[mid]
-            element_lists.append(elements)
-        rows, order = self._encode(element_lists, training, rngs)
+            groups.append(group)
+        rows, order = self._encode(groups, training, rngs)
         shape = (len(samples), n_slots * self.config.dim)
         if rows is None:
             x = T.Tensor(np.zeros(shape))

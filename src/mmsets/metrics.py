@@ -8,7 +8,7 @@ independent brute-force oracles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -149,14 +149,7 @@ class EvalReport:
     per_group_accuracy: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "num_folds": self.num_folds,
-            "folds": self.folds,
-            "mean": self.mean,
-            "fim": self.fim,
-            "per_group_accuracy": self.per_group_accuracy,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

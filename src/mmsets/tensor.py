@@ -202,21 +202,15 @@ def sigmoid_values(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def dropout(x: Tensor, p: float, training: bool,
-            uniforms: Optional[np.ndarray] = None) -> Tensor:
+def dropout(x: Tensor, p: float, uniforms: np.ndarray) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by 1/(1-p).
 
-    In training mode ``uniforms``, an array of the shape of ``x`` drawn by
-    the caller, decides each entry: it is zeroed where its uniform is below
-    ``p``. Eval mode takes None and returns ``x`` itself, so the inference
-    path is the exact identity rather than a numerically equivalent copy.
+    ``uniforms``, an array of the shape of ``x`` drawn by the caller, decides
+    each entry: it is zeroed where its uniform is below ``p``. Only training
+    calls this op; inference leaves dropout out.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training:
-        return x
-    if uniforms is None:
-        raise ValueError("dropout in training mode needs its uniforms")
     if uniforms.shape != x.data.shape:
         raise ValueError(f"dropout uniforms of shape {uniforms.shape} do not match "
                          f"the input shape {x.data.shape}")

@@ -140,10 +140,8 @@ def test_criterion_3_importance_oracle():
     for i in range(200):
         sample = random_ragged_sample(rng, specs, f"i{i}", min_mods=1, max_mods=5,
                                       min_inst=1, max_inst=4)
-        elements = build_set(sample, specs, None)
-        rows = np.concatenate([
-            model.encoders[mid].encode([p], training=False, uniforms=None).data
-            for mid, p in elements], axis=0)
+        elements = [(mid, p) for mid, got in build_set(sample, specs, None).items() for p in got]
+        rows = np.concatenate([model.encoders[mid].encode([p]).data for mid, p in elements])
         expected = {mid: 0 for mid in model.modality_ids}
         for d in range(dim):
             best = 0

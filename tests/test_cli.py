@@ -23,6 +23,14 @@ def gen_dataset(tmp_path, extra=()):
     return run_dir
 
 
+def train_checkpoint(tmp_path, data) -> Path:
+    out = tmp_path / "tr"
+    assert main(["train", "--data", str(data), "--out", str(out),
+                 "--epochs", "1", "--warmup-epochs", "0", "--dim", "8"]) == 0
+    (train_dir,) = run_dirs(out)
+    return train_dir / "checkpoint.json"
+
+
 class TestGenSynthetic:
     def test_writes_manifest_and_samples(self, tmp_path):
         run_dir = gen_dataset(tmp_path)
@@ -156,17 +164,29 @@ class TestEval:
 
     def test_eval_from_checkpoint(self, tmp_path):
         data = gen_dataset(tmp_path)
-        out = tmp_path / "tr"
-        assert main(["train", "--data", str(data), "--out", str(out),
-                     "--epochs", "1", "--warmup-epochs", "0", "--dim", "8"]) == 0
-        (train_dir,) = run_dirs(out)
         code = main(["eval", "--data", str(data), "--out", str(tmp_path / "ev"),
-                     "--checkpoint", str(train_dir / "checkpoint.json"),
+                     "--checkpoint", str(train_checkpoint(tmp_path, data)),
                      "--dim", "8"])
         assert code == 0
         (run_dir,) = run_dirs(tmp_path / "ev")
         report = json.loads((run_dir / "report.json").read_text())
         assert report["num_folds"] == 1
+
+    @pytest.mark.parametrize("gen_config,named", [
+        ({"feature_dims": [4, 8, 8, 8]}, "modalities.m0.input_dim"),
+        ({"num_classes": 3}, "num_classes"),
+    ], ids=["narrower-modality", "more-classes"])
+    def test_checkpoint_must_fit_the_data(self, tmp_path, capsys, gen_config, named):
+        checkpoint = train_checkpoint(tmp_path, gen_dataset(tmp_path))
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(gen_config))
+        other = gen_dataset(tmp_path / "other", ["--config", str(cfg)])
+        out = tmp_path / "ev"
+        code = main(["eval", "--data", str(other), "--out", str(out),
+                     "--checkpoint", str(checkpoint)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_needs_kfold_or_checkpoint(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -219,6 +239,25 @@ class TestModalitySubset:
                      "--modalities", "m0,zz"])
         assert code == 1
         assert "zz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval-kfold", "eval-checkpoint"])
+def test_empty_dataset_is_data_error_before_writing(tmp_path, capsys, command):
+    data = gen_dataset(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["sample_count"] = 0
+    (empty / "manifest.json").write_text(json.dumps(manifest))
+    (empty / "samples.jsonl").write_text("")
+    args = {"train": ["train"], "eval-kfold": ["eval", "--kfold", "2"],
+            "eval-checkpoint": ["eval", "--checkpoint", str(train_checkpoint(tmp_path, data))]}
+    out = tmp_path / "runs"
+    code = main([*args[command], "--data", str(empty), "--out", str(out),
+                 "--epochs", "1", "--warmup-epochs", "0"])
+    assert code == 2
+    assert "no samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -112,9 +112,12 @@ class TestLoader:
         assert info.value.sample_id is None  # not blamed on a sample
 
     @pytest.mark.parametrize("field,value", [("modalities", 5), ("class_names", [[1], [2]]),
-                                             ("class_names", [1, 2]), ("sample_count", True)],
+                                             ("class_names", [1, 2]), ("sample_count", True),
+                                             ("format_version", True),
+                                             ("format_version", 1.0)],
                              ids=["modalities-int", "class-names-lists", "class-names-ints",
-                                  "sample-count-bool"])
+                                  "sample-count-bool", "format-version-bool",
+                                  "format-version-float"])
     def test_manifest_field_types_checked(self, tmp_path, field, value):
         obj = small_manifest().to_dict()
         obj[field] = value

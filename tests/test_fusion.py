@@ -4,6 +4,7 @@ import pytest
 import mmsets.tensor as T
 from mmsets.data import ModalityInstance, Sample
 from mmsets.errors import EmptySetError
+from mmsets.evaluate import predict_scores
 from mmsets.fusion import (ConcatModel, DenseEncoder, FusionModel, ImportanceRecord, Mlp,
                            ModalitySpec, ModelConfig, SequenceEncoder, aggregate_importance,
                            build_set)
@@ -11,14 +12,17 @@ from helpers import (central_diff, max_rel_err, mixed_specs, random_sample, shuf
                      sum_all)
 
 
-def encode_elements(model, elements):
-    """Eval-mode rows of a canonical element list, one encoder block per
-    modality; the list is grouped by modality in sorted order, so the
-    blocks stack in element order."""
-    return np.concatenate([
-        model.encoders[mid].encode([p for m, p in elements if m == mid],
-                                   training=False, uniforms=None).data
-        for mid in model.modality_ids if any(m == mid for m, _ in elements)], axis=0)
+def encode_groups(model, groups):
+    """Eval-mode rows of a set from ``build_set``, one encoder block per
+    modality; the groups come in id order, so the blocks stack in element
+    order."""
+    return np.concatenate([model.encoders[mid].encode(payloads).data
+                           for mid, payloads in groups.items() if payloads], axis=0)
+
+
+def owner_ids(groups):
+    """The modality id of each element of a set, in element order."""
+    return [mid for mid, payloads in groups.items() for _ in payloads]
 
 
 def make_sample(payloads_by_mod, sample_id="s0", num_classes=2):
@@ -52,20 +56,21 @@ class TestBuildSet:
         specs = [ModalitySpec("face", "dense", input_dim=3, max_instances=10)]
         rng = np.random.default_rng(0)
         sample = make_sample({"face": [rng.standard_normal(3) for _ in range(14)]})
-        elements = build_set(sample, specs, np.random.default_rng(1))
-        assert len(elements) == 10
+        groups = build_set(sample, specs, np.random.default_rng(1))
+        assert len(groups["face"]) == 10
 
     def test_missing_modality_simply_absent(self):
         specs = mixed_specs()
         sample = make_sample({"img": [np.zeros(6)]})
-        elements = build_set(sample, specs, np.random.default_rng(0))
-        assert [mid for mid, _ in elements] == ["img"]
+        groups = build_set(sample, specs, np.random.default_rng(0))
+        assert owner_ids(groups) == ["img"]
+        assert list(groups) == sorted(s.modality_id for s in specs)
 
     def test_unknown_modalities_filtered(self):
         specs = [ModalitySpec("img", "dense", input_dim=6)]
         sample = make_sample({"img": [np.zeros(6)], "rogue": [np.ones(2)]})
-        elements = build_set(sample, specs, np.random.default_rng(0))
-        assert [mid for mid, _ in elements] == ["img"]
+        groups = build_set(sample, specs, np.random.default_rng(0))
+        assert owner_ids(groups) == ["img"]
 
     def test_empty_after_filter_raises_with_sample_id(self):
         specs = [ModalitySpec("img", "dense", input_dim=6)]
@@ -80,10 +85,10 @@ class TestBuildSet:
         shuffled = shuffled_copy(sample, rng)
         a = build_set(sample, specs, np.random.default_rng(3))
         b = build_set(shuffled, specs, np.random.default_rng(3))
-        assert len(a) == len(b)
-        for (mid_a, pay_a), (mid_b, pay_b) in zip(a, b):
-            assert mid_a == mid_b
-            assert np.array_equal(pay_a, pay_b)
+        assert owner_ids(a) == owner_ids(b)
+        for mid in a:
+            for pay_a, pay_b in zip(a[mid], b[mid]):
+                assert np.array_equal(pay_a, pay_b)
 
     def test_subsampling_order_independent(self):
         # over the cap, so the rng actually picks; content sort makes the
@@ -94,7 +99,7 @@ class TestBuildSet:
         shuffled = shuffled_copy(sample, rng)
         a = build_set(sample, specs, np.random.default_rng(5))
         b = build_set(shuffled, specs, np.random.default_rng(5))
-        for (_, pay_a), (_, pay_b) in zip(a, b):
+        for pay_a, pay_b in zip(a["face"], b["face"]):
             assert np.array_equal(pay_a, pay_b)
 
 
@@ -105,7 +110,7 @@ class TestEncoders:
         enc = model.encoders["img"]
         enc.weight.data[:] = 0.0
         enc.bias.data[:] = 0.0
-        out = enc.encode([np.arange(6.0), np.ones(6)], training=False, uniforms=None)
+        out = enc.encode([np.arange(6.0), np.ones(6)])
         assert np.all(out.data == 0.0)
         assert out.data.shape == (2, 8)
 
@@ -113,59 +118,56 @@ class TestEncoders:
     def test_output_dim_independent_of_input_dim(self, input_dim):
         model = FusionModel([ModalitySpec("img", "dense", input_dim=input_dim)],
                             num_classes=2, dim=16)
-        out = model.encoders["img"].encode([np.zeros(input_dim)], training=False, uniforms=None)
+        out = model.encoders["img"].encode([np.zeros(input_dim)])
         assert out.data.shape == (1, 16)
 
     def test_dense_dimension_mismatch(self):
         model = FusionModel([ModalitySpec("img", "dense", input_dim=6)],
                             num_classes=2, dim=8)
         with pytest.raises(ValueError, match="length 6"):
-            model.encoders["img"].encode([np.zeros(5)], training=False, uniforms=None)
+            model.encoders["img"].encode([np.zeros(5)])
         with pytest.raises(ValueError, match="length 6"):  # one bad row in a block
-            model.encoders["img"].encode([np.zeros(6), np.zeros(5)], training=False, uniforms=None)
+            model.encoders["img"].encode([np.zeros(6), np.zeros(5)])
 
     def test_sequence_out_of_vocab(self):
         model = FusionModel([ModalitySpec("obj", "index_sequence", vocab_size=5)],
                             num_classes=2, dim=8, embed_dim=4, num_filters=3)
         with pytest.raises(ValueError, match="out of range"):
-            model.encoders["obj"].encode([np.array([5])], training=False, uniforms=None)
+            model.encoders["obj"].encode([np.array([5])])
         with pytest.raises(ValueError, match="out of range"):
-            model.encoders["obj"].encode([np.array([1, 2]), np.array([0, 5])],
-                                         training=False, uniforms=None)
+            model.encoders["obj"].encode([np.array([1, 2]), np.array([0, 5])])
 
     def test_short_sequence_padded_not_crashing(self):
         model = FusionModel([ModalitySpec("obj", "index_sequence", vocab_size=5)],
                             num_classes=2, dim=8, embed_dim=4, num_filters=3)
         enc = model.encoders["obj"]
-        out = enc.encode([np.array([2]), np.array([1, 3, 4, 0, 2, 2])], training=False,
-                         uniforms=None)
+        out = enc.encode([np.array([2]), np.array([1, 3, 4, 0, 2, 2])])
         assert out.data.shape == (2, 8)
         # a short sequence in a block encodes as it does alone: padded to the
         # widest kernel, and its max-over-time sees only its own windows
-        alone = enc.encode([np.array([2])], training=False, uniforms=None)
+        alone = enc.encode([np.array([2])])
         np.testing.assert_allclose(out.data[:1], alone.data, rtol=0, atol=1e-12)
 
     def test_tape_records_per_layer(self):
-        # each affine layer is one linear op: a dense block records linear,
-        # ELU and dropout, however many rows it holds; a one-hidden-layer MLP
-        # linear, ELU, linear
+        # each affine layer is one linear op: a dense block records linear
+        # and ELU, however many rows it holds; a one-hidden-layer MLP linear,
+        # ELU, linear
         rng = np.random.default_rng(0)
         encoder = DenseEncoder(ModalitySpec("img", "dense", input_dim=6), ModelConfig(dim=8), rng)
         predictor = Mlp([8, 5, 2], rng)
         with T.Tape() as tape:
-            h = encoder.encode([np.arange(6.0), np.ones(6), np.zeros(6)], training=True,
-                               uniforms=rng.random((3, 8)))
-            assert len(tape) == 3
+            h = encoder.encode([np.arange(6.0), np.ones(6), np.zeros(6)])
+            assert len(tape) == 2
             predictor(h)
-            assert len(tape) == 6
+            assert len(tape) == 5
         # a sequence block: lookup, conv and max-over-time per kernel width,
-        # concat, linear, ELU, dropout
+        # concat, linear, ELU
         sequences = SequenceEncoder(ModalitySpec("obj", "index_sequence", vocab_size=5),
                                     ModelConfig(dim=8), rng)
         for block in ([np.array([1, 2])], [np.array([1, 2]), np.array([0, 3, 4, 1, 1])]):
             with T.Tape() as tape:
-                sequences.encode(block, training=True, uniforms=rng.random((len(block), 8)))
-            assert len(tape) == 1 + 2 * 3 + 4
+                sequences.encode(block)
+            assert len(tape) == 1 + 2 * 3 + 3
 
     def test_encoder_gradients_match_fd(self):
         specs = mixed_specs()
@@ -193,8 +195,7 @@ class TestForward:
         spec = ModalitySpec("img", "dense", input_dim=4)
         model = FusionModel([spec], num_classes=3, dim=8, pool="max")
         sample = make_sample({"img": [np.array([1.0, -2.0, 0.5, 3.0])]}, num_classes=3)
-        encoded = model.encoders["img"].encode([sample.instances[0].payload],
-                                               training=False, uniforms=None)
+        encoded = model.encoders["img"].encode([sample.instances[0].payload])
         logits, record = model.forward(sample)
         np.testing.assert_array_equal(model.predictor(encoded).data, logits.data)
         assert record.fractions == {"img": 1.0}
@@ -217,8 +218,9 @@ class TestForward:
         rng = np.random.default_rng(1)
         for trial in range(20):
             sample = random_sample(rng, specs, sample_id=f"t{trial}")
-            elements = build_set(sample, specs, None)
-            rows = encode_elements(model, elements)
+            groups = build_set(sample, specs, None)
+            rows = encode_groups(model, groups)
+            owners = owner_ids(groups)
             counts = {mid: 0 for mid in model.modality_ids}
             for d in range(rows.shape[1]):
                 best = 0
@@ -227,7 +229,7 @@ class TestForward:
                         else rows[r, d] < rows[best, d]
                     if better:
                         best = r
-                counts[elements[best][0]] += 1
+                counts[owners[best]] += 1
             _, record = model.forward(sample)
             assert record.counts == counts
             assert sum(record.counts.values()) == 12
@@ -384,6 +386,25 @@ class TestForwardBatch:
             model.forward_batch(samples, training=True, rngs=[np.random.default_rng(0)])
 
 
+@pytest.mark.parametrize("model_class", [FusionModel, ConcatModel])
+def test_eval_leaves_dropout_out(monkeypatch, model_class):
+    specs = mixed_specs(max_instances=3)
+    model = model_class(specs, num_classes=3, dim=8, embed_dim=4, num_filters=3, seed=2)
+    samples = batch_of_samples(specs, np.random.default_rng(43))
+
+    def no_dropout(*args, **kwargs):
+        raise RuntimeError("dropout called")
+
+    monkeypatch.setattr(T, "dropout", no_dropout)
+    logits, _ = model.forward_batch(samples)
+    assert logits.data.shape == (len(samples), 3)
+    scores, _ = predict_scores(model, samples)
+    assert scores.shape == (len(samples), 3)
+    with pytest.raises(RuntimeError, match="dropout"):  # training does reach the op
+        model.forward_batch(samples, training=True,
+                            rngs=[np.random.default_rng(b) for b in range(len(samples))])
+
+
 class TestConcatBaseline:
     def test_zero_blocks_for_missing_modalities(self):
         specs = [ModalitySpec("a", "dense", input_dim=3, max_instances=1),
@@ -393,7 +414,7 @@ class TestConcatBaseline:
         logits, record = model.forward(sample)
         assert record is None
         # reconstruct the concat input: slots are (a:1, b:2) in sorted order
-        enc = model.encoders["a"].encode([np.ones(3)], training=False, uniforms=None)
+        enc = model.encoders["a"].encode([np.ones(3)])
         expected = np.concatenate([enc.data, np.zeros((1, 8))], axis=1)
         np.testing.assert_array_equal(
             model.predictor(T.Tensor(expected)).data, logits.data)
@@ -457,11 +478,12 @@ class TestAggregateImportance:
         # independent recomputation from stored per-dimension winners
         fractions = np.zeros(len(model.modality_ids))
         for s in samples:
-            elements = build_set(s, specs, None)
-            rows = encode_elements(model, elements)
+            groups = build_set(s, specs, None)
+            rows = encode_groups(model, groups)
+            owners = owner_ids(groups)
             winners = rows.argmax(axis=0)
             for d in winners:
-                fractions[model.modality_ids.index(elements[d][0])] += 1 / 10
+                fractions[model.modality_ids.index(owners[d])] += 1 / 10
         fractions /= len(samples)
         for i, mid in enumerate(model.modality_ids):
             assert agg[mid] == pytest.approx(fractions[i], abs=1e-12)
@@ -476,8 +498,7 @@ def test_standalone_build_set_matches_eval_forward_subsample():
     rng = np.random.default_rng(21)
     sample = make_sample({"face": [rng.standard_normal(3) for _ in range(7)]},
                          sample_id="sub1")
-    elements = build_set(sample, specs, None)
-    rows = encode_elements(model, elements)
+    rows = encode_groups(model, build_set(sample, specs, None))
     expected = rows.max(axis=0, keepdims=True)
     pooled = model.predictor(T.Tensor(expected))
     logits, _ = model.forward(sample)

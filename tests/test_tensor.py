@@ -116,25 +116,21 @@ class TestSigmoid:
 
 
 class TestDropout:
-    def test_eval_mode_is_exact_identity(self):
-        x = T.Tensor([[1.0, 2.0, 3.0]])
-        assert T.dropout(x, 0.5, training=False) is x
-
     def test_p_zero_training_is_identity(self):
         x = T.Tensor([[1.0, -2.0]])
-        out = T.dropout(x, 0.0, training=True, uniforms=np.random.default_rng(0).random(x.shape))
+        out = T.dropout(x, 0.0, uniforms=np.random.default_rng(0).random(x.shape))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_invalid_probability(self):
         x = T.Tensor([[1.0]])
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                T.dropout(x, p, training=True, uniforms=np.random.default_rng(0).random(x.shape))
+                T.dropout(x, p, uniforms=np.random.default_rng(0).random(x.shape))
 
     def test_monte_carlo_rate_and_mean(self):
         rng = np.random.default_rng(5)
         x = T.Tensor(np.full((1000, 1000), 2.0))
-        out = T.dropout(x, 0.25, training=True, uniforms=rng.random(x.shape))
+        out = T.dropout(x, 0.25, uniforms=rng.random(x.shape))
         zero_fraction = float(np.mean(out.data == 0.0))
         assert abs(zero_fraction - 0.25) < 0.005
         assert abs(out.data.mean() - 2.0) / 2.0 < 0.01
@@ -143,8 +139,7 @@ class TestDropout:
         x = T.parameter(np.linspace(-1, 1, 12).reshape(3, 4))
 
         def forward():
-            return T.dropout(x, 0.5, training=True,
-                             uniforms=np.random.default_rng(11).random(x.shape))
+            return T.dropout(x, 0.5, uniforms=np.random.default_rng(11).random(x.shape))
 
         scalar_loss(forward)
         numeric = central_diff(lambda: float(forward().data.sum()), x.data, h=1e-6)
@@ -155,12 +150,10 @@ class TestDropout:
         # the caller's uniforms alone decide the mask; they must fit x
         x = T.Tensor(np.arange(1.0, 13.0).reshape(3, 4))
         rows = np.random.default_rng(3).random((3, 4))
-        given = T.dropout(x, 0.5, training=True, uniforms=rows)
+        given = T.dropout(x, 0.5, uniforms=rows)
         np.testing.assert_array_equal(given.data, x.data * (rows >= 0.5) / 0.5)
         with pytest.raises(ValueError, match="shape"):
-            T.dropout(x, 0.5, training=True, uniforms=rows[:2])
-        with pytest.raises(ValueError, match="uniforms"):
-            T.dropout(x, 0.5, training=True)
+            T.dropout(x, 0.5, uniforms=rows[:2])
 
 
 # rows of x: sets [0,3), [3,4), [4,8) -- ragged, and a singleton among them
@@ -596,7 +589,7 @@ def test_tape_replay_determinism():
         w = T.parameter(rng.standard_normal((4, 2)))
         with T.Tape():
             h = T.dropout(T.elu(T.linear(x, w, T.Tensor(np.zeros((1, 2))))), 0.25,
-                          training=True, uniforms=np.random.default_rng(7).random((3, 2)))
+                          uniforms=np.random.default_rng(7).random((3, 2)))
             out, _ = T.reduce_over_set(h, "max", [0])
             loss = sum_all(out)
         T.backward(loss)
