@@ -61,17 +61,17 @@ def _read_config_file(path) -> dict:
     return obj
 
 
-def _resolve(defaults: dict, config_path, flag_cfg: dict) -> dict:
-    """Flags over the config file over ``defaults``; an unset seed falls back
-    to MMSETS_SEED, then 0."""
+def _resolve(defaults: dict, args) -> dict:
+    """Flags over the config file over ``defaults``; each flag's dest is the
+    field it sets. An unset seed falls back to MMSETS_SEED, then 0."""
     resolved = dict(defaults)
-    for key, value in (_read_config_file(config_path) if config_path else {}).items():
+    for key, value in (_read_config_file(args.config) if args.config else {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown config field {key!r}")
         resolved[key] = value
-    for key, value in flag_cfg.items():
-        if value is not None:
-            resolved[key] = value
+    for key in defaults:
+        if getattr(args, key, None) is not None:
+            resolved[key] = getattr(args, key)
     if resolved["seed"] is None:
         env = os.environ.get("MMSETS_SEED", "0")
         try:
@@ -145,10 +145,7 @@ def _model_builder(manifest, resolved: dict):
 
 
 def cmd_gen_synthetic(args) -> int:
-    flag_cfg = {"num_samples": args.samples, "num_classes": args.classes,
-                "num_modalities": args.modalities, "seed": args.seed,
-                "task": args.task}
-    resolved = _resolve(GEN_DEFAULTS, args.config, flag_cfg)
+    resolved = _resolve(GEN_DEFAULTS, args)
     cfg = _config(SyntheticConfig, resolved)
     run_dir = _run_dir(resolved, args.out)
     manifest, samples = generate_synthetic(cfg)
@@ -157,7 +154,7 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _prepare(args, extra_defaults: dict, extra_flags: dict):
+def _prepare(args, extra_defaults: dict):
     """Load the data and resolve and check every train/eval setting, before
     anything is written. Returns (manifest, samples, resolved config,
     seed -> fresh model, TrainConfig)."""
@@ -166,12 +163,7 @@ def _prepare(args, extra_defaults: dict, extra_flags: dict):
     manifest, samples = load_dataset_dir(args.data)
     if not samples:
         raise DataError("the dataset holds no samples", field=str(args.data))
-    flag_cfg = {"pool": args.pool, "dim": args.dim, "baseline": args.baseline,
-                "modalities": args.modalities, "epochs": args.epochs, "seed": args.seed,
-                "batch_size": args.batch_size, "warmup_epochs": args.warmup_epochs,
-                **extra_flags}
-    resolved = _resolve({**MODEL_DEFAULTS, **TRAIN_DEFAULTS, **extra_defaults},
-                        args.config, flag_cfg)
+    resolved = _resolve({**MODEL_DEFAULTS, **TRAIN_DEFAULTS, **extra_defaults}, args)
     resolved["data"] = str(args.data)
     resolved["command"] = args.command
     return (manifest, samples, resolved, _model_builder(manifest, resolved),
@@ -180,11 +172,14 @@ def _prepare(args, extra_defaults: dict, extra_flags: dict):
 
 def _check_checkpoint_fits(model, manifest) -> None:
     """The checkpoint's classes, and the shape of each modality it shares with
-    the dataset, must be the manifest's."""
+    the dataset, must be the manifest's; it must share at least one."""
     if model.num_classes != manifest.num_classes:
         raise DataError(f"checkpoint has {model.num_classes} classes, the dataset "
                         f"{manifest.num_classes}", field="num_classes")
     declared = {s.modality_id: s for s in manifest.modalities}
+    if not declared.keys() & set(model.modality_ids):
+        raise DataError(f"checkpoint has {list(model.modality_ids)}, the dataset "
+                        f"{sorted(declared)}; they share none", field="modalities")
     for spec in model.specs:
         other = declared.get(spec.modality_id)
         for name in ("kind", "input_dim", "vocab_size"):
@@ -195,7 +190,7 @@ def _check_checkpoint_fits(model, manifest) -> None:
 
 
 def cmd_train(args) -> int:
-    manifest, samples, resolved, build_model, train_config = _prepare(args, {}, {})
+    manifest, samples, resolved, build_model, train_config = _prepare(args, {})
     run_dir = _run_dir(resolved, args.out)
     model = build_model(resolved["seed"])
     fh, write = _log_writer(run_dir / "train_log.jsonl")
@@ -209,58 +204,42 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest, samples, resolved, build_model, train_config = _prepare(
-        args, EVAL_DEFAULTS, {"kfold": args.kfold, "importance": args.importance or None,
-                              "checkpoint": args.checkpoint})
+    manifest, samples, resolved, build_model, train_config = _prepare(args, EVAL_DEFAULTS)
     if not isinstance(resolved["importance"], bool):
         raise ConfigError(f"importance must be a bool, got {resolved['importance']!r}")
-    if resolved["importance"]:
-        if resolved["baseline"] == "concat":
-            raise ConfigError("--importance is not defined for the concat baseline")
-        if resolved["pool"] not in ("max", "min"):
-            raise ConfigError(
-                f"--importance needs max or min pooling, got {resolved['pool']!r}")
     k = resolved["kfold"]
     if k and (isinstance(k, bool) or not isinstance(k, int) or not 2 <= k <= len(samples)):
         raise ConfigError(f"kfold must be an integer from 2 to the sample count "
                           f"{len(samples)}, got {k!r}")
     if not k and not (resolved["checkpoint"] and isinstance(resolved["checkpoint"], str)):
         raise ConfigError("eval needs --kfold K or --checkpoint PATH")
-    if not k:
+    if k:
+        pool, dim = "concat" if resolved["baseline"] else resolved["pool"], resolved["dim"]
+    else:
         model, _ = load_checkpoint(resolved["checkpoint"])
         _check_checkpoint_fits(model, manifest)
+        pool, dim = getattr(model, "pool", "concat"), model.config.dim
+    # the evaluated model decides: the --kfold model, or the checkpoint's
+    if resolved["importance"] and pool not in ("max", "min"):
+        raise ConfigError(f"--importance needs max or min pooling, got {pool!r}")
 
     run_dir = _run_dir(resolved, args.out)
-    records = []
     if k:
-        def factory(fold_index):
-            return build_model(resolved["seed"] + 1000 * fold_index)
-
-        report, records = run_kfold(samples, manifest.task, factory,
-                                    train_config, k=k,
-                                    seed=resolved["seed"],
-                                    collect_importance=resolved["importance"])
-        tag = f"{'concat' if resolved['baseline'] else resolved['pool']}_D{resolved['dim']}"
+        report, records = run_kfold(samples, manifest.task,
+                                    lambda fold: build_model(resolved["seed"] + 1000 * fold),
+                                    train_config, k=k, seed=resolved["seed"])
     else:
         metrics, records, _ = evaluate_model(model, samples, manifest.task)
-        metrics["fold"] = 0
-        fim = None
-        if resolved["importance"]:
-            if not records:
-                raise ConfigError("--importance needs a max or min pooling checkpoint")
-            fim = aggregate_importance(records)
-        report = EvalReport(task=manifest.task, num_folds=1, folds=[metrics],
-                            mean={k: v for k, v in metrics.items() if k != "fold"},
-                            fim=fim)
-        tag = f"{getattr(model, 'pool', 'concat')}_D{model.config.dim}"
-
-    (run_dir / "report.json").write_text(report.to_json())
-    if resolved["importance"] and report.fim is not None:
-        export_fim([(tag, report.fim)], run_dir / "fim.csv")
+        report = EvalReport(task=manifest.task, num_folds=1, folds=[{**metrics, "fold": 0}],
+                            mean=metrics)
+    if resolved["importance"]:
+        report.fim = aggregate_importance(records)
+        export_fim([(f"{pool}_D{dim}", report.fim)], run_dir / "fim.csv")
         with open(run_dir / "importance_records.jsonl", "w") as fh:
             for rec in records:
                 fh.write(json.dumps({"sample_id": rec.sample_id, "counts": rec.counts,
                                      "fractions": rec.fractions}, sort_keys=True) + "\n")
+    (run_dir / "report.json").write_text(report.to_json())
     print(f"report written to {run_dir / 'report.json'}")
     return 0
 
@@ -273,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic dataset")
     gen.add_argument("--config", help="JSON file with generator settings")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--samples", type=int)
-    gen.add_argument("--classes", type=int)
-    gen.add_argument("--modalities", type=int)
+    gen.add_argument("--samples", type=int, dest="num_samples")
+    gen.add_argument("--classes", type=int, dest="num_classes")
+    gen.add_argument("--modalities", type=int, dest="num_modalities")
     gen.add_argument("--task", choices=["single_label", "multi_label"])
     gen.add_argument("--seed", type=int)
     gen.set_defaults(func=cmd_gen_synthetic)
@@ -301,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate via k-fold or a checkpoint")
     add_common(ev)
     ev.add_argument("--kfold", type=int, help="number of folds to train/evaluate")
-    ev.add_argument("--importance", action="store_true",
+    ev.add_argument("--importance", action="store_true", default=None,
                     help="emit per-sample importance records and the aggregated matrix")
     ev.add_argument("--checkpoint", help="evaluate an existing checkpoint")
     ev.set_defaults(func=cmd_eval)

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fusion import aggregate_importance
 from .metrics import EvalReport, UndefinedMetricError, accuracy_suite, f1_suite, roc_auc
 from .tensor import sigmoid_values
 from .training import TrainConfig, kfold_split, train
@@ -25,7 +24,7 @@ def predict_scores(model, samples):
     records = []
     for start in range(0, len(samples), PREDICT_CHUNK):
         chunk = samples[start:start + PREDICT_CHUNK]
-        logits, chunk_records = model.forward_batch(chunk, training=False)
+        logits, chunk_records = model.forward_batch(chunk)
         scores[start:start + len(chunk)] = sigmoid_values(logits.data)
         records.extend(r for r in chunk_records if r is not None)
     return scores, records
@@ -98,13 +97,13 @@ def _group_accuracy(scores, samples, task: str) -> dict | None:
 
 
 def run_kfold(samples, task: str, model_factory, train_config: TrainConfig, k: int = 5,
-              seed: int = 0, collect_importance: bool = False) -> tuple[EvalReport, list]:
+              seed: int = 0) -> tuple[EvalReport, list]:
     """Train and evaluate one model per fold; report per-fold and mean metrics.
 
     ``model_factory(fold_index)`` must return a fresh model. Importance
     records are gathered from each fold's held-out samples, so every sample
-    contributes exactly once to the aggregated matrix. Returns the report
-    plus the flat list of per-sample importance records.
+    appears exactly once. Returns the report, its ``fim`` unset, plus the
+    flat list of per-sample importance records for the caller to aggregate.
     """
     splits = kfold_split(len(samples), k=k, seed=seed)
     folds = []
@@ -122,9 +121,5 @@ def run_kfold(samples, task: str, model_factory, train_config: TrainConfig, k: i
         folds.append(metrics)
         all_records.extend(records)
         pooled_scores[eval_idx] = scores
-    fim = None
-    if collect_importance and all_records:
-        fim = aggregate_importance(all_records)
     return EvalReport(task=task, num_folds=k, folds=folds, mean=_mean_folds(folds),
-                      fim=fim,
                       per_group_accuracy=_group_accuracy(pooled_scores, samples, task)), all_records

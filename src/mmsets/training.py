@@ -172,7 +172,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
 
     Args:
         model: a fusion or concat model exposing ``forward_batch(samples,
-            training, rngs)`` and ``named_parameters()``.
+            rngs)`` and ``named_parameters()``.
         samples: sequence of dataset samples.
         config: optimizer/schedule settings; ``config.seed`` drives epoch
             shuffling, subsampling, and dropout, so identical configs give
@@ -210,7 +210,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
                 p.grad = None
             rngs = [sample_rng(config.seed, epoch, s.sample_id) for s in batch]
             with T.Tape():
-                logits, _ = model.forward_batch(batch, training=True, rngs=rngs)
+                logits, _ = model.forward_batch(batch, rngs)
                 losses = weighted_sigmoid_ce(logits, labels[batch_idx], weights)
             loss_values = losses.data[:, 0]
             bad = np.flatnonzero(~np.isfinite(loss_values))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from mmsets.cli import main
+from mmsets.cli import (EVAL_DEFAULTS, GEN_DEFAULTS, MODEL_DEFAULTS, TRAIN_DEFAULTS,
+                        build_parser, main)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -23,10 +25,10 @@ def gen_dataset(tmp_path, extra=()):
     return run_dir
 
 
-def train_checkpoint(tmp_path, data) -> Path:
+def train_checkpoint(tmp_path, data, extra=()) -> Path:
     out = tmp_path / "tr"
     assert main(["train", "--data", str(data), "--out", str(out),
-                 "--epochs", "1", "--warmup-epochs", "0", "--dim", "8"]) == 0
+                 "--epochs", "1", "--warmup-epochs", "0", "--dim", "8", *extra]) == 0
     (train_dir,) = run_dirs(out)
     return train_dir / "checkpoint.json"
 
@@ -172,12 +174,14 @@ class TestEval:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["num_folds"] == 1
 
-    @pytest.mark.parametrize("gen_config,named", [
-        ({"feature_dims": [4, 8, 8, 8]}, "modalities.m0.input_dim"),
-        ({"num_classes": 3}, "num_classes"),
-    ], ids=["narrower-modality", "more-classes"])
-    def test_checkpoint_must_fit_the_data(self, tmp_path, capsys, gen_config, named):
-        checkpoint = train_checkpoint(tmp_path, gen_dataset(tmp_path))
+    @pytest.mark.parametrize("train_flags,gen_config,named", [
+        ([], {"feature_dims": [4, 8, 8, 8]}, "modalities.m0.input_dim"),
+        ([], {"num_classes": 3}, "num_classes"),
+        (["--modalities", "m2,m3"], {"num_modalities": 2}, "modalities"),
+    ], ids=["narrower-modality", "more-classes", "shares-no-modality"])
+    def test_checkpoint_must_fit_the_data(self, tmp_path, capsys, train_flags, gen_config,
+                                          named):
+        checkpoint = train_checkpoint(tmp_path, gen_dataset(tmp_path), train_flags)
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps(gen_config))
         other = gen_dataset(tmp_path / "other", ["--config", str(cfg)])
@@ -187,6 +191,28 @@ class TestEval:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("train_flags", [["--pool", "sum"], ["--baseline", "concat"]],
+                             ids=["sum", "concat"])
+    def test_importance_needs_a_max_or_min_checkpoint(self, tmp_path, capsys, train_flags):
+        data = gen_dataset(tmp_path)
+        checkpoint = train_checkpoint(tmp_path, data, train_flags)
+        out = tmp_path / "ev"
+        code = main(["eval", "--data", str(data), "--out", str(out),
+                     "--checkpoint", str(checkpoint), "--importance"])
+        assert code == 1
+        assert "max or min" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_pool_decides_importance(self, tmp_path):
+        # --pool does not apply to a checkpoint; its own max pool does
+        data = gen_dataset(tmp_path)
+        checkpoint = train_checkpoint(tmp_path, data, ["--pool", "max"])
+        code = main(["eval", "--data", str(data), "--out", str(tmp_path / "ev"),
+                     "--checkpoint", str(checkpoint), "--pool", "sum", "--importance"])
+        assert code == 0
+        (run_dir,) = run_dirs(tmp_path / "ev")
+        assert (run_dir / "fim.csv").read_text().splitlines()[1].startswith("max_D8,")
 
     def test_eval_needs_kfold_or_checkpoint(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -207,6 +233,18 @@ class TestEval:
 
 
 class TestUsage:
+    def test_every_flag_sets_a_config_field(self):
+        # _resolve reads each flag by its dest, so a dest that is no config
+        # field would be dropped without a word
+        defaults = {"gen-synthetic": GEN_DEFAULTS, "train": MODEL_DEFAULTS | TRAIN_DEFAULTS,
+                    "eval": MODEL_DEFAULTS | TRAIN_DEFAULTS | EVAL_DEFAULTS}
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(defaults)
+        for command, parser in subparsers.choices.items():
+            dests = {a.dest for a in parser._actions} - {"help", "config", "out", "data"}
+            assert dests <= set(defaults[command]), (command, dests - set(defaults[command]))
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 

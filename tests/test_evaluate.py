@@ -3,7 +3,7 @@ import pytest
 
 from mmsets.data import SyntheticConfig, generate_synthetic
 from mmsets.evaluate import PREDICT_CHUNK, decide, evaluate_model, predict_scores, run_kfold
-from mmsets.fusion import FusionModel
+from mmsets.fusion import FusionModel, aggregate_importance
 from mmsets.tensor import sigmoid_values
 from mmsets.training import TrainConfig
 
@@ -74,14 +74,13 @@ def test_run_kfold_structure_and_importance():
                            predictor_hidden=(8,), seed=100 + fold)
 
     config = TrainConfig(epochs=2, warmup_epochs=1, batch_size=8, seed=1)
-    report, records = run_kfold(samples, "single_label", factory, config, k=3,
-                                seed=2, collect_importance=True)
+    report, records = run_kfold(samples, "single_label", factory, config, k=3, seed=2)
     assert report.num_folds == 3
     assert len(report.folds) == 3
     assert {f["fold"] for f in report.folds} == {0, 1, 2}
     assert sum(f["n_eval"] for f in report.folds) == 30
-    assert report.fim is not None
-    assert sum(report.fim.values()) == pytest.approx(1.0, abs=1e-9)
+    assert report.fim is None  # the caller aggregates the records
+    assert sum(aggregate_importance(records).values()) == pytest.approx(1.0, abs=1e-9)
     assert len(records) == 30  # every sample contributes exactly once
     assert report.mean["overall_accuracy"] is not None
 

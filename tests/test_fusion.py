@@ -307,8 +307,11 @@ class TestForward:
     def test_training_forward_requires_rng(self):
         spec = ModalitySpec("img", "dense", input_dim=4)
         model = FusionModel([spec], num_classes=2, dim=8)
+        sample = make_sample({"img": [np.ones(4)]})
         with pytest.raises(ValueError, match="rng"):
-            model.forward(make_sample({"img": [np.ones(4)]}), training=True)
+            model.forward(sample, training=True)
+        with pytest.raises(ValueError, match="rng"):  # inference takes no stream
+            model.forward(sample, rng=np.random.default_rng(0))
 
 
 def batch_of_samples(specs, rng, n=7, cap=3):
@@ -330,8 +333,7 @@ def assert_batch_matches_single_forwards(model, samples):
         def streams():
             return [np.random.default_rng(100 + b) for b in range(len(samples))]
 
-        logits, records = model.forward_batch(samples, training,
-                                              streams() if training else None)
+        logits, records = model.forward_batch(samples, streams() if training else None)
         assert logits.data.shape == (len(samples), model.num_classes)
         assert len(records) == len(samples)
         fresh = streams()
@@ -371,8 +373,7 @@ class TestForwardBatch:
         lengths = []
         for batch in (small, large):
             with T.Tape() as tape:
-                model.forward_batch(batch, training=True,
-                                    rngs=[np.random.default_rng(0) for _ in batch])
+                model.forward_batch(batch, [np.random.default_rng(0) for _ in batch])
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
@@ -380,10 +381,8 @@ class TestForwardBatch:
         spec = ModalitySpec("img", "dense", input_dim=4)
         model = FusionModel([spec], num_classes=2, dim=8)
         samples = [make_sample({"img": [np.ones(4)]}, f"s{i}") for i in range(2)]
-        with pytest.raises(ValueError, match="rng"):
-            model.forward_batch(samples, training=True)
         with pytest.raises(ValueError, match="rngs"):
-            model.forward_batch(samples, training=True, rngs=[np.random.default_rng(0)])
+            model.forward_batch(samples, [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize("model_class", [FusionModel, ConcatModel])
@@ -401,8 +400,7 @@ def test_eval_leaves_dropout_out(monkeypatch, model_class):
     scores, _ = predict_scores(model, samples)
     assert scores.shape == (len(samples), 3)
     with pytest.raises(RuntimeError, match="dropout"):  # training does reach the op
-        model.forward_batch(samples, training=True,
-                            rngs=[np.random.default_rng(b) for b in range(len(samples))])
+        model.forward_batch(samples, [np.random.default_rng(b) for b in range(len(samples))])
 
 
 class TestConcatBaseline:
