@@ -25,9 +25,9 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticConfig, generate_synthetic, load_dataset_dir, save_dataset
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import evaluate_model, run_kfold
+from .evaluate import evaluate_trained, run_kfold
 from .fusion import ConcatModel, FusionModel, ModelConfig, aggregate_importance
-from .metrics import EvalReport, export_fim
+from .metrics import export_fim
 from .tensor import POOL_MODES
 from .training import TrainConfig, train
 
@@ -189,10 +189,23 @@ def _check_checkpoint_fits(model, manifest) -> None:
                                 field=f"modalities.{spec.modality_id}.{name}")
 
 
+def _check_sets_nonempty(model, samples) -> None:
+    """A set model needs every sample to keep an instance of one of its
+    modalities; the concat baseline takes such a sample as zero slots."""
+    if not isinstance(model, FusionModel):
+        return
+    kept = set(model.modality_ids)
+    for sample in samples:
+        if not any(inst.modality_id in kept for inst in sample.instances):
+            raise DataError(f"no instance of the model's modalities {sorted(kept)}",
+                            sample_id=sample.sample_id, field="modalities")
+
+
 def cmd_train(args) -> int:
     manifest, samples, resolved, build_model, train_config = _prepare(args, {})
-    run_dir = _run_dir(resolved, args.out)
     model = build_model(resolved["seed"])
+    _check_sets_nonempty(model, samples)
+    run_dir = _run_dir(resolved, args.out)
     fh, write = _log_writer(run_dir / "train_log.jsonl")
     try:
         train(model, samples, train_config, task=manifest.task, on_epoch=write)
@@ -214,12 +227,13 @@ def cmd_eval(args) -> int:
     if not k and not (resolved["checkpoint"] and isinstance(resolved["checkpoint"], str)):
         raise ConfigError("eval needs --kfold K or --checkpoint PATH")
     if k:
-        pool, dim = "concat" if resolved["baseline"] else resolved["pool"], resolved["dim"]
+        model = build_model(resolved["seed"])  # fold 0's model, to check against
     else:
         model, _ = load_checkpoint(resolved["checkpoint"])
         _check_checkpoint_fits(model, manifest)
-        pool, dim = getattr(model, "pool", "concat"), model.config.dim
+    _check_sets_nonempty(model, samples)
     # the evaluated model decides: the --kfold model, or the checkpoint's
+    pool, dim = getattr(model, "pool", "concat"), model.config.dim
     if resolved["importance"] and pool not in ("max", "min"):
         raise ConfigError(f"--importance needs max or min pooling, got {pool!r}")
 
@@ -229,9 +243,7 @@ def cmd_eval(args) -> int:
                                     lambda fold: build_model(resolved["seed"] + 1000 * fold),
                                     train_config, k=k, seed=resolved["seed"])
     else:
-        metrics, records, _ = evaluate_model(model, samples, manifest.task)
-        report = EvalReport(task=manifest.task, num_folds=1, folds=[{**metrics, "fold": 0}],
-                            mean=metrics)
+        report, records = evaluate_trained(model, samples, manifest.task)
     if resolved["importance"]:
         report.fim = aggregate_importance(records)
         export_fim([(f"{pool}_D{dim}", report.fim)], run_dir / "fim.csv")

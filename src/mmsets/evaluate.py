@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .fusion import ImportanceRecord
 from .metrics import EvalReport, UndefinedMetricError, accuracy_suite, f1_suite, roc_auc
 from .tensor import sigmoid_values
 from .training import TrainConfig, kfold_split, train
@@ -24,9 +25,11 @@ def predict_scores(model, samples):
     records = []
     for start in range(0, len(samples), PREDICT_CHUNK):
         chunk = samples[start:start + PREDICT_CHUNK]
-        logits, chunk_records = model.forward_batch(chunk)
+        logits, owners = model.forward_batch(chunk)
         scores[start:start + len(chunk)] = sigmoid_values(logits.data)
-        records.extend(r for r in chunk_records if r is not None)
+        if owners is not None:
+            records.extend(ImportanceRecord.from_owners(s.sample_id, model.modality_ids, row)
+                           for s, row in zip(chunk, owners))
     return scores, records
 
 
@@ -96,6 +99,20 @@ def _group_accuracy(scores, samples, task: str) -> dict | None:
     return out
 
 
+def _report(task: str, folds: list[dict], scores, samples) -> EvalReport:
+    """The report of ``folds``, their ``fim`` unset; ``scores`` holds every
+    sample's held-out scores, for the per-group accuracy."""
+    return EvalReport(task=task, num_folds=len(folds), folds=folds, mean=_mean_folds(folds),
+                      per_group_accuracy=_group_accuracy(scores, samples, task))
+
+
+def evaluate_trained(model, samples, task: str) -> tuple[EvalReport, list]:
+    """A trained model's report over ``samples`` as one fold, with the same
+    fields as ``run_kfold``'s, plus its importance records."""
+    metrics, records, scores = evaluate_model(model, samples, task)
+    return _report(task, [{**metrics, "fold": 0}], scores, samples), records
+
+
 def run_kfold(samples, task: str, model_factory, train_config: TrainConfig, k: int = 5,
               seed: int = 0) -> tuple[EvalReport, list]:
     """Train and evaluate one model per fold; report per-fold and mean metrics.
@@ -121,5 +138,4 @@ def run_kfold(samples, task: str, model_factory, train_config: TrainConfig, k: i
         folds.append(metrics)
         all_records.extend(records)
         pooled_scores[eval_idx] = scores
-    return EvalReport(task=task, num_folds=k, folds=folds, mean=_mean_folds(folds),
-                      per_group_accuracy=_group_accuracy(pooled_scores, samples, task)), all_records
+    return _report(task, folds, pooled_scores, samples), all_records

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate
 
 import numpy as np
 
@@ -113,10 +112,13 @@ class ImportanceRecord:
     fractions: dict[str, float]
 
     @classmethod
-    def from_counts(cls, sample_id: str, counts: dict[str, int]) -> "ImportanceRecord":
-        total = sum(counts.values())
-        return cls(sample_id=sample_id, counts=dict(counts),
-                   fractions={m: c / total for m, c in counts.items()})
+    def from_owners(cls, sample_id: str, modality_ids, owners_row) -> "ImportanceRecord":
+        """The record of one row of ``forward_batch``'s owner matrix: entry d
+        is the index in ``modality_ids`` of the modality that won dimension d."""
+        won = np.bincount(owners_row, minlength=len(modality_ids))
+        counts = {m: int(won[i]) for i, m in enumerate(modality_ids)}
+        return cls(sample_id=sample_id, counts=counts,
+                   fractions={m: c / len(owners_row) for m, c in counts.items()})
 
 
 def _group_by_modality(sample, modality_ids) -> dict[str, list[np.ndarray]]:
@@ -242,8 +244,7 @@ class SequenceEncoder:
         for w in self.kernel_widths:
             conv = T.conv1d_over_sequence(emb, self.kernels[w], lengths)
             # each sequence's windows form one set for the max-over-time
-            starts = list(accumulate((n - w + 1 for n in lengths[:-1]), initial=0))
-            best, _ = T.reduce_over_set(conv, "max", starts)
+            best, _ = T.reduce_over_set(conv, "max", [n - w + 1 for n in lengths])
             pooled.append(best)
         return T.elu(T.linear(T.concat(pooled, axis=1), self.projection, self.bias))
 
@@ -311,30 +312,32 @@ class _ModelCore:
                              final_bias=init_classifier_bias(num_classes, cfg.class_prior))
 
     def forward(self, sample, training: bool = False, rng=None):
-        """``forward_batch`` on one sample: (logits [1,C], its record or None).
-        ``rng`` is given exactly when ``training`` is set."""
+        """``forward_batch`` on one sample: (logits [1,C], its ImportanceRecord
+        or None). ``rng`` is given exactly when ``training`` is set."""
         if training != (rng is not None):
             raise ValueError("a training forward needs an rng, an inference forward none")
-        logits, records = self.forward_batch([sample], None if rng is None else [rng])
-        return logits, records[0]
+        logits, owners = self.forward_batch([sample], None if rng is None else [rng])
+        return logits, None if owners is None else ImportanceRecord.from_owners(
+            sample.sample_id, self.modality_ids, owners[0])
 
     def forward_batch(self, samples, rngs=None):
-        """Group, encode, combine and predict: (logits [B,C], records).
+        """Group, encode, combine and predict: (logits [B,C], owners).
 
         ``rngs``, one stream per sample, makes a training batch: each sample
         draws its subsampling and then its dropout from its own stream.
         Without them a stream derived from each sample id subsamples, so
         inference repeats bit for bit. A sample's logits do not depend on its
-        batch beyond floating-point rounding; ``records[b]`` is its
-        importance record, or None when the combine step attributes nothing.
+        batch beyond floating-point rounding. ``owners[b, d]`` indexes in
+        ``modality_ids`` the modality that won pooled dimension d of sample b
+        under max/min pooling; ``owners`` is None for sum/mean and ConcatModel.
         """
         if rngs is not None and len(rngs) != len(samples):
             raise ValueError(f"got {len(rngs)} rngs for {len(samples)} samples")
         groups = [self._group(s, None if rngs is None else rngs[b])
                   for b, s in enumerate(samples)]
         rows, order = self._encode(groups, rngs)
-        x, records = self._combine(samples, groups, rows, order)
-        return self.predictor(x), records
+        x, owners = self._combine(groups, rows, order)
+        return self.predictor(x), owners
 
     def _encode(self, groups, rngs):
         """Encode every element of a batch, one block per modality.
@@ -410,21 +413,17 @@ class FusionModel(_ModelCore):
     def _group(self, sample, rng):
         return build_set(sample, self.specs, rng)
 
-    def _combine(self, samples, groups, rows, order):
-        """Pool each sample's rows only: ([B,D], one record per sample under
+    def _combine(self, groups, rows, order):
+        """Pool each sample's rows only: ([B,D], the [B,D] owner matrix under
         max/min pooling, None under sum and mean)."""
-        sizes = np.array([sum(map(len, group.values())) for group in groups])
         x = T.scatter_rows(rows, order, (order.size, self.config.dim))
-        pooled, argidx = T.reduce_over_set(x, self.pool, np.cumsum(sizes) - sizes)
-        records = [None] * len(samples)
-        if argidx is not None:
-            owners = np.array([i for group in groups
-                               for i, got in enumerate(group.values()) for _ in got])
-            for b, sample in enumerate(samples):
-                won = np.bincount(owners[argidx[b]], minlength=len(self.modality_ids))
-                counts = {m: int(won[i]) for i, m in enumerate(self.modality_ids)}
-                records[b] = ImportanceRecord.from_counts(sample.sample_id, counts)
-        return pooled, records
+        pooled, argidx = T.reduce_over_set(x, self.pool,
+                                           [sum(map(len, g.values())) for g in groups])
+        if argidx is None:
+            return pooled, None
+        owners_of_rows = np.array([i for group in groups
+                                   for i, got in enumerate(group.values()) for _ in got])
+        return pooled, owners_of_rows[argidx]
 
 
 class ConcatModel(_ModelCore):
@@ -453,7 +452,7 @@ class ConcatModel(_ModelCore):
             del got[self.slots[mid]:]
         return group
 
-    def _combine(self, samples, groups, rows, order):
+    def _combine(self, groups, rows, order):
         """Row b of the [B, sum(slots)*D] result is sample b's slot vector."""
         n_slots = sum(self.slots.values())
         slot_rows = []
@@ -462,12 +461,12 @@ class ConcatModel(_ModelCore):
             for mid, got in group.items():
                 slot_rows.extend(range(first, first + len(got)))
                 first += self.slots[mid]
-        shape = (len(samples), n_slots * self.config.dim)
+        shape = (len(groups), n_slots * self.config.dim)
         if rows is None:
             x = T.Tensor(np.zeros(shape))
         else:
             x = T.scatter_rows(rows, np.array(slot_rows, dtype=np.intp)[order], shape)
-        return x, [None] * len(samples)
+        return x, None
 
 
 def aggregate_importance(records) -> dict[str, float]:

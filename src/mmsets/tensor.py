@@ -224,16 +224,15 @@ def dropout(x: Tensor, p: float, uniforms: np.ndarray) -> Tensor:
     return register_op(out, (x,), backward_fn)
 
 
-def reduce_over_set(x: Tensor, mode: str, starts: Sequence[int]
+def reduce_over_set(x: Tensor, mode: str, sizes: Sequence[int]
                     ) -> tuple[Tensor, Optional[np.ndarray]]:
     """Reduce each set of rows of ``x`` [N,D] to one row: [B,D] for B sets.
 
-    ``starts`` holds the first row of each set in ascending order, from 0;
-    a set runs up to the next start, the last one to row N, so ``[0]`` makes
-    all of ``x`` one set. For max/min the second return value holds, per set
-    and column, the row of ``x`` that supplied the extremum, [B,D]; ties
-    resolve to the lowest row of the set, and a NaN wins as it does in
-    ``np.argmax``. Sum/mean return None.
+    ``sizes`` holds each set's row count, in row order, so ``[N]`` makes all
+    of ``x`` one set; the counts must add up to N. For max/min the second
+    return value holds, per set and column, the row of ``x`` that supplied
+    the extremum, [B,D]; ties resolve to the lowest row of the set, and a NaN
+    wins as it does in ``np.argmax``. Sum/mean return None.
     Backward routes each set's upstream gradient to every row of the set
     (sum/mean, the latter divided by the set size) or only to the arg rows
     (max/min). An empty set raises EmptySetError.
@@ -244,17 +243,14 @@ def reduce_over_set(x: Tensor, mode: str, starts: Sequence[int]
     if d.ndim != 2:
         raise ValueError(f"reduce_over_set expects a [N,D] tensor, got shape {d.shape}")
     n_rows = d.shape[0]
-    first = np.asarray(starts, dtype=np.intp)
-    if first.ndim != 1 or first.size == 0 or first[0] != 0:
-        raise ValueError(f"set starts must be a nonempty 1-D array from 0, got {starts!r}")
-    sizes = np.empty_like(first)
-    np.subtract(first[1:], first[:-1], out=sizes[:-1])
-    sizes[-1] = n_rows - first[-1]
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 0 or sizes.sum() != n_rows:
+        raise ValueError(f"set sizes must be a nonempty 1-D array of counts >= 0 adding "
+                         f"up to {n_rows}, got {sizes.tolist()}")
     smallest = sizes.min()
-    if smallest <= 0:
-        if smallest < 0:
-            raise ValueError(f"set starts must ascend within [0, {n_rows}], got {starts!r}")
+    if smallest == 0:
         raise EmptySetError("cannot reduce an empty set")
+    first = np.cumsum(sizes) - sizes
     argidx: Optional[np.ndarray] = None
     if mode == "sum" or mode == "mean":
         out_data = np.add.reduceat(d, first, axis=0)

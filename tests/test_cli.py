@@ -174,6 +174,25 @@ class TestEval:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["num_folds"] == 1
 
+    def test_checkpoint_report_has_the_kfold_fields(self, tmp_path):
+        data = gen_dataset(tmp_path)
+        lines = (data / "samples.jsonl").read_text().splitlines()
+        grouped = [json.dumps({**json.loads(line), "group": f"g{i % 2}"}) for i, line
+                   in enumerate(lines)]
+        (data / "samples.jsonl").write_text("\n".join(grouped) + "\n")
+        reports = {}
+        for mode, flags in (("kfold", ["--kfold", "2", "--epochs", "1",
+                                       "--warmup-epochs", "0", "--dim", "8"]),
+                            ("checkpoint", ["--checkpoint",
+                                            str(train_checkpoint(tmp_path, data))])):
+            out = tmp_path / mode
+            assert main(["eval", "--data", str(data), "--out", str(out), *flags]) == 0
+            (run_dir,) = run_dirs(out)
+            reports[mode] = json.loads((run_dir / "report.json").read_text())
+        assert set(reports["checkpoint"]["per_group_accuracy"]) == {"g0", "g1"}
+        assert reports["checkpoint"]["mean"].keys() == reports["kfold"]["mean"].keys()
+        assert reports["checkpoint"].keys() == reports["kfold"].keys()
+
     @pytest.mark.parametrize("train_flags,gen_config,named", [
         ([], {"feature_dims": [4, 8, 8, 8]}, "modalities.m0.input_dim"),
         ([], {"num_classes": 3}, "num_classes"),
@@ -295,6 +314,24 @@ def test_empty_dataset_is_data_error_before_writing(tmp_path, capsys, command):
                  "--epochs", "1", "--warmup-epochs", "0"])
     assert code == 2
     assert "no samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval-kfold", "eval-checkpoint"])
+def test_set_model_needs_its_modalities_in_every_sample(tmp_path, capsys, command):
+    # with half the instances missing, some sample holds no m1 at all
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"missing_rates": 0.5}))
+    data = gen_dataset(tmp_path / "sparse", ["--config", str(cfg)])
+    args = {"train": ["train", "--modalities", "m1"],
+            "eval-kfold": ["eval", "--kfold", "2", "--modalities", "m1"],
+            "eval-checkpoint": ["eval", "--checkpoint", str(train_checkpoint(
+                tmp_path, gen_dataset(tmp_path), ["--modalities", "m1"]))]}
+    out = tmp_path / "runs"
+    code = main([*args[command], "--data", str(data), "--out", str(out),
+                 "--epochs", "1", "--warmup-epochs", "0"])
+    assert code == 2
+    assert "modalities" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -216,8 +216,10 @@ class TestForward:
         model = FusionModel(specs, num_classes=2, dim=12, pool=pool,
                             embed_dim=4, num_filters=3, seed=5)
         rng = np.random.default_rng(1)
-        for trial in range(20):
-            sample = random_sample(rng, specs, sample_id=f"t{trial}")
+        samples = [random_sample(rng, specs, sample_id=f"t{trial}") for trial in range(20)]
+        _, batch_owners = model.forward_batch(samples)
+        assert batch_owners.shape == (20, 12)
+        for b, sample in enumerate(samples):
             groups = build_set(sample, specs, None)
             rows = encode_groups(model, groups)
             owners = owner_ids(groups)
@@ -230,6 +232,8 @@ class TestForward:
                     if better:
                         best = r
                 counts[owners[best]] += 1
+                # the lowest row holding the extremum owns the dimension
+                assert model.modality_ids[batch_owners[b, d]] == owners[best]
             _, record = model.forward(sample)
             assert record.counts == counts
             assert sum(record.counts.values()) == 12
@@ -284,14 +288,14 @@ class TestForward:
         model = FusionModel([spec], num_classes=2, dim=8, pool="max")
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((5, 8))
-        pooled, arg = T.reduce_over_set(T.Tensor(rows), "max", [0])
+        pooled, arg = T.reduce_over_set(T.Tensor(rows), "max", [5])
         margins = pooled.data[0] - np.sort(rows, axis=0)[-2]
         d = int(np.argmax(margins))
         r = int((arg[0, d] + 1) % 5)  # any non-selected row in dimension d
         perturbed = rows.copy()
         perturbed[r, d] += margins[d] * 0.5
         base = model.predictor(pooled)
-        after = model.predictor(T.reduce_over_set(T.Tensor(perturbed), "max", [0])[0])
+        after = model.predictor(T.reduce_over_set(T.Tensor(perturbed), "max", [5])[0])
         assert np.array_equal(base.data, after.data)
 
     def test_adding_instances_never_changes_parameter_count(self):
@@ -326,23 +330,26 @@ def batch_of_samples(specs, rng, n=7, cap=3):
 
 
 def assert_batch_matches_single_forwards(model, samples):
-    """forward_batch equals one forward per sample within 1e-12, with the
-    same importance counts, in eval mode and in training mode with fresh
-    identical per-sample streams."""
+    """forward_batch equals one forward per sample within 1e-12, its owner
+    rows give the same importance counts, in eval mode and in training mode
+    with fresh identical per-sample streams."""
     for training in (False, True):
         def streams():
             return [np.random.default_rng(100 + b) for b in range(len(samples))]
 
-        logits, records = model.forward_batch(samples, streams() if training else None)
+        logits, owners = model.forward_batch(samples, streams() if training else None)
         assert logits.data.shape == (len(samples), model.num_classes)
-        assert len(records) == len(samples)
+        if owners is not None:
+            assert owners.shape == (len(samples), model.config.dim)
         fresh = streams()
         for b, sample in enumerate(samples):
             single, record = model.forward(sample, training, fresh[b] if training else None)
             assert np.max(np.abs(single.data[0] - logits.data[b])) <= 1e-12, (training, b)
-            assert (record is None) == (records[b] is None)
+            assert (record is None) == (owners is None)
             if record is not None:
-                assert record.counts == records[b].counts
+                won = np.bincount(owners[b], minlength=len(model.modality_ids))
+                assert record.counts == {m: int(won[i])
+                                         for i, m in enumerate(model.modality_ids)}
 
 
 class TestForwardBatch:
@@ -451,7 +458,8 @@ class TestConcatBaseline:
 
 class TestAggregateImportance:
     def test_single_record_is_identity(self):
-        rec = ImportanceRecord.from_counts("s0", {"a": 3, "b": 1})
+        rec = ImportanceRecord.from_owners("s0", ("a", "b"), np.array([0, 1, 0, 0]))
+        assert rec.counts == {"a": 3, "b": 1}
         assert aggregate_importance([rec]) == rec.fractions
 
     def test_two_record_mean(self):

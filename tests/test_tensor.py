@@ -157,13 +157,13 @@ class TestDropout:
 
 
 # rows of x: sets [0,3), [3,4), [4,8) -- ragged, and a singleton among them
-SEGMENT_STARTS = np.array([0, 3, 4])
+SEGMENT_SIZES = np.array([3, 1, 4])
 SEGMENT_ROWS = 8
 
 
-def _segment_oracle(d, starts, mode):
+def _segment_oracle(d, sizes, mode):
     """Per-set numpy reduction plus, for max/min, each set's first arg row."""
-    bounds = [*starts, d.shape[0]]
+    bounds = [0, *np.cumsum(sizes)]
     outs, args = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = d[lo:hi]
@@ -175,12 +175,12 @@ def _segment_oracle(d, starts, mode):
 
 class TestReduceOverSet:
     def test_max_values_and_argidx(self):
-        out, arg = T.reduce_over_set(T.Tensor([[1.0, 3.0], [2.0, 1.0]]), "max", [0])
+        out, arg = T.reduce_over_set(T.Tensor([[1.0, 3.0], [2.0, 1.0]]), "max", [2])
         assert out.data.tolist() == [[2.0, 3.0]]
         assert arg[0].tolist() == [1, 0]
         # two sets: arg rows index x, not the set
         x = T.Tensor([[1.0, 3.0], [2.0, 1.0], [0.0, 5.0], [4.0, -1.0], [9.0, 0.0]])
-        out, arg = T.reduce_over_set(x, "max", [0, 2])
+        out, arg = T.reduce_over_set(x, "max", [2, 3])
         assert out.data.tolist() == [[2.0, 3.0], [9.0, 5.0]]
         assert arg.tolist() == [[1, 0], [4, 2]]
 
@@ -188,9 +188,9 @@ class TestReduceOverSet:
         rng = np.random.default_rng(30)
         d = rng.standard_normal((SEGMENT_ROWS, 5))
         for mode in T.POOL_MODES:
-            for starts in (SEGMENT_STARTS, np.array([0, 2, 4, 6])):  # ragged, equal sizes
-                out, arg = T.reduce_over_set(T.Tensor(d), mode, starts)
-                expected, expected_arg = _segment_oracle(d, starts, mode)
+            for sizes in (SEGMENT_SIZES, np.array([2, 2, 2, 2])):  # ragged, equal sizes
+                out, arg = T.reduce_over_set(T.Tensor(d), mode, sizes)
+                expected, expected_arg = _segment_oracle(d, sizes, mode)
                 np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
                 if expected_arg is None:
                     assert arg is None
@@ -199,38 +199,38 @@ class TestReduceOverSet:
                     np.testing.assert_array_equal(out.data, expected)
 
     def test_sum(self):
-        out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "sum", [0])
+        out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "sum", [2])
         assert out.data.tolist() == [[4.0, 6.0]]
         assert arg is None
         out, arg = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-                                     "sum", [0, 1])
+                                     "sum", [1, 2])
         assert out.data.tolist() == [[1.0, 2.0], [8.0, 10.0]]
         assert arg is None
 
     def test_mean(self):
-        out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "mean", [0])
+        out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), "mean", [2])
         assert out.data.tolist() == [[2.0, 3.0]]
         out, _ = T.reduce_over_set(T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-                                   "mean", [0, 1])
+                                   "mean", [1, 2])
         assert out.data.tolist() == [[1.0, 2.0], [4.0, 5.0]]
 
     def test_min_ties_take_lowest_row(self):
-        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "min", [0])
+        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "min", [2])
         assert arg[0].tolist() == [0, 0]
-        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "max", [0])
+        _, arg = T.reduce_over_set(T.Tensor([[5.0, 1.0], [5.0, 1.0]]), "max", [2])
         assert arg[0].tolist() == [0, 0]
         # within each set, ragged or not: the set's lowest tied row wins
         tied = T.Tensor(np.array([[5.0, 1.0]] * 5 + [[2.0, 2.0]] * 2))
         for mode in ("min", "max"):
-            _, arg = T.reduce_over_set(tied, mode, [0, 2, 5])
+            _, arg = T.reduce_over_set(tied, mode, [2, 3, 2])
             assert arg.tolist() == [[0, 0], [2, 2], [5, 5]]
-            _, arg = T.reduce_over_set(tied, mode, [0, 1, 2, 3, 4, 5, 6])
+            _, arg = T.reduce_over_set(tied, mode, [1] * 7)
             assert arg.tolist() == [[i, i] for i in range(7)]
 
     def test_max_gradient_routing(self):
         x = T.parameter([[1.0, 3.0], [2.0, 1.0]])
         with T.Tape():
-            out, _ = T.reduce_over_set(x, "max", [0])
+            out, _ = T.reduce_over_set(x, "max", [2])
             loss = sum_all(out)  # upstream gradient [1, 1]
         T.backward(loss)
         assert x.grad.tolist() == [[0.0, 1.0], [1.0, 0.0]]
@@ -240,7 +240,7 @@ class TestReduceOverSet:
         for mode in ("max", "min"):
             x = T.parameter(rng.standard_normal((5, 4)))
             with T.Tape():
-                out, arg = T.reduce_over_set(x, mode, [0])
+                out, arg = T.reduce_over_set(x, mode, [5])
                 loss = sum_all(out)
             T.backward(loss)
             selected = np.zeros_like(x.data, dtype=bool)
@@ -254,22 +254,22 @@ class TestReduceOverSet:
                     "mean": lambda d: d.mean(axis=0).sum()}
         for mode, ref in reducers.items():
             x = T.parameter(rng.standard_normal((4, 3)))
-            scalar_loss(lambda: T.reduce_over_set(x, mode, [0])[0])
+            scalar_loss(lambda: T.reduce_over_set(x, mode, [4])[0])
             numeric = central_diff(lambda: float(ref(x.data)), x.data, h=1e-6)
             assert max_rel_err(x.grad, numeric) < 1e-6
 
     def test_segment_gradients_match_fd_in_every_mode(self):
         rng = np.random.default_rng(31)
-        mix = rng.standard_normal((len(SEGMENT_STARTS), 3))
+        mix = rng.standard_normal((len(SEGMENT_SIZES), 3))
         for mode in T.POOL_MODES:
             x = T.parameter(rng.standard_normal((SEGMENT_ROWS, 3)))
             with T.Tape():
-                out, _ = T.reduce_over_set(x, mode, SEGMENT_STARTS)
+                out, _ = T.reduce_over_set(x, mode, SEGMENT_SIZES)
                 loss = sum_all(mul(out, T.Tensor(mix)))
             T.backward(loss)
 
             def value():
-                return float((_segment_oracle(x.data, SEGMENT_STARTS, mode)[0] * mix).sum())
+                return float((_segment_oracle(x.data, SEGMENT_SIZES, mode)[0] * mix).sum())
 
             numeric = central_diff(value, x.data, h=1e-6)
             assert max_rel_err(x.grad, numeric) < 1e-6, mode
@@ -278,23 +278,23 @@ class TestReduceOverSet:
         with pytest.raises(EmptySetError):
             T.reduce_over_set(T.Tensor(np.zeros((0, 4))), "sum", [0])
         for mode in T.POOL_MODES:
-            for starts in ([0, 2, 2], [0, 3]):  # an empty middle set, an empty last set
+            for sizes in ([2, 0, 1], [3, 0]):  # an empty middle set, an empty last set
                 with pytest.raises(EmptySetError):
-                    T.reduce_over_set(T.Tensor(np.zeros((3, 4))), mode, starts)
-        for starts in ([1, 2], [0, 2, 1], [0, 4]):
-            with pytest.raises(ValueError, match="starts"):
-                T.reduce_over_set(T.Tensor(np.zeros((3, 4))), "max", starts)
+                    T.reduce_over_set(T.Tensor(np.zeros((3, 4))), mode, sizes)
+        for sizes in ([1, 1], [4], [2, -1, 2], [[3]]):  # wrong sum, negative, 2-D
+            with pytest.raises(ValueError, match="sizes"):
+                T.reduce_over_set(T.Tensor(np.zeros((3, 4))), "max", sizes)
 
     def test_permutation_invariance_after_canonical_sort(self):
         rng = np.random.default_rng(8)
         rows = rng.standard_normal((7, 5))
         canonical = rows[np.lexsort(rows.T[::-1])]
         for mode in T.POOL_MODES:
-            base, _ = T.reduce_over_set(T.Tensor(canonical), mode, [0])
+            base, _ = T.reduce_over_set(T.Tensor(canonical), mode, [7])
             for _ in range(5):
                 shuffled = rows[rng.permutation(7)]
                 resorted = shuffled[np.lexsort(shuffled.T[::-1])]
-                out, _ = T.reduce_over_set(T.Tensor(resorted), mode, [0])
+                out, _ = T.reduce_over_set(T.Tensor(resorted), mode, [7])
                 assert np.array_equal(out.data, base.data)  # bit-exact
 
 
@@ -416,7 +416,7 @@ class TestStructuralOps:
         rows = [T.parameter(rng.standard_normal((1, 4))) for _ in range(3)]
         with T.Tape():
             stacked = T.concat(rows, axis=0)
-            out, _ = T.reduce_over_set(stacked, "mean", [0])
+            out, _ = T.reduce_over_set(stacked, "mean", [3])
             loss = sum_all(out)
         T.backward(loss)
         for r in rows:
@@ -571,7 +571,7 @@ def test_gradcheck_fifty_random_instances():
         b = T.parameter(rng.standard_normal((1, 5)))
         with T.Tape():
             h = T.elu(T.linear(x, w, b))
-            r, _ = T.reduce_over_set(h, mode, [0])
+            r, _ = T.reduce_over_set(h, mode, [4])
             loss = sum_all(sigmoid(r))
         T.backward(loss)
         for p in (x, w, b):
@@ -590,7 +590,7 @@ def test_tape_replay_determinism():
         with T.Tape():
             h = T.dropout(T.elu(T.linear(x, w, T.Tensor(np.zeros((1, 2))))), 0.25,
                           uniforms=np.random.default_rng(7).random((3, 2)))
-            out, _ = T.reduce_over_set(h, "max", [0])
+            out, _ = T.reduce_over_set(h, "max", [3])
             loss = sum_all(out)
         T.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()

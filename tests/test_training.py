@@ -6,7 +6,7 @@ import pytest
 import mmsets.tensor as T
 from mmsets.data import ModalityInstance, Sample
 from mmsets.errors import DataError, NumericError
-from mmsets.fusion import FusionModel, ModalitySpec
+from mmsets.fusion import FusionModel, ImportanceRecord, ModalitySpec
 from mmsets.training import (AdamWState, TrainConfig, adamw_step,
                              init_classifier_bias, inverse_sqrt_class_weights,
                              kfold_split, lr_at, train, weighted_sigmoid_ce)
@@ -301,6 +301,16 @@ class TestTrain:
                                match=r"non-finite loss at epoch 0, sample 's0005'"):
                 train(_tiny_model(seed=16), samples,
                       TrainConfig(epochs=2, warmup_epochs=0, batch_size=8, seed=17))
+
+    def test_builds_no_importance_records(self, monkeypatch):
+        # training reads only the logits; attribution is built where results leave
+        def refuse(*args, **kwargs):
+            raise AssertionError("train() built an ImportanceRecord")
+
+        monkeypatch.setattr(ImportanceRecord, "__init__", refuse)
+        history = train(_tiny_model(seed=12), _tiny_dataset(8, seed=13),
+                        TrainConfig(epochs=2, warmup_epochs=0, seed=14), task="single_label")
+        assert len(history) == 2
 
     def test_history_fields(self):
         samples = _tiny_dataset(8, seed=9)
