@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json_object
 from .fusion import ConcatModel, FusionModel, ModalitySpec, ModelConfig
 
 CHECKPOINT_VERSION = 1
@@ -58,15 +58,7 @@ def save_checkpoint(model, path, config_hash: str = "") -> None:
 def load_checkpoint(path):
     """Rebuild the model and restore its parameters bit-exactly; anything
     malformed, missing or out of range raises DataError."""
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"checkpoint not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"checkpoint is not valid JSON: {exc}", field=str(path))
-    if not isinstance(obj, dict):
-        raise DataError("checkpoint must hold a JSON object", field=str(path))
+    obj = read_json_object(path, DataError)
     if obj.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint_version {obj.get('checkpoint_version')!r}")
     try:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticConfig, generate_synthetic, load_dataset_dir, save_dataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, read_json_object
 from .evaluate import evaluate_trained, run_kfold
 from .fusion import ConcatModel, FusionModel, ModelConfig, aggregate_importance
 from .metrics import export_fim
@@ -49,23 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _read_config_file(path) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return obj
-
-
 def _resolve(defaults: dict, args) -> dict:
     """Flags over the config file over ``defaults``; each flag's dest is the
     field it sets. An unset seed falls back to MMSETS_SEED, then 0."""
     resolved = dict(defaults)
-    for key, value in (_read_config_file(args.config) if args.config else {}).items():
+    for key, value in (read_json_object(args.config, ConfigError) if args.config else {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown config field {key!r}")
         resolved[key] = value
@@ -88,7 +76,10 @@ def config_hash(resolved: dict) -> str:
 
 def _run_dir(resolved: dict, out) -> Path:
     run_dir = Path(out) / config_hash(resolved)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{run_dir}: cannot create the run directory: {exc.strerror}")
     (run_dir / "resolved_config.json").write_text(
         json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     return run_dir

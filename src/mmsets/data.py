@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, check_int, check_real
+from .errors import DataError, check_int, check_real, read_json_object, read_text
 from .fusion import DENSE, ModalitySpec
 
 FORMAT_VERSION = 1
@@ -153,7 +153,7 @@ def _parse_sample(obj: dict, manifest: DatasetManifest, line_no: int) -> Sample:
         if not isinstance(inst, dict) or "modality" not in inst or "payload" not in inst:
             raise DataError("instance needs 'modality' and 'payload'", sample_id, fld)
         mid = inst["modality"]
-        if mid not in spec_by_id:
+        if not isinstance(mid, str) or mid not in spec_by_id:
             raise DataError(f"unknown modality {mid!r}", sample_id, fld)
         payload = _parse_payload(inst["payload"], spec_by_id[mid], sample_id,
                                  f"{fld}.payload")
@@ -170,26 +170,18 @@ def load_dataset(manifest_path, samples_path) -> tuple[DatasetManifest, list[Sam
     """
     manifest_path = Path(manifest_path)
     samples_path = Path(samples_path)
-    try:
-        manifest_obj = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"manifest not found: {manifest_path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest is not valid JSON: {exc}", field=str(manifest_path))
-    manifest = _manifest_from_dict(manifest_obj, manifest_path.name)
+    manifest = _manifest_from_dict(read_json_object(manifest_path, DataError),
+                                   manifest_path.name)
 
     samples = []
     seen: set[str] = set()
-    try:
-        lines = samples_path.read_text().splitlines()
-    except FileNotFoundError:
-        raise DataError(f"samples file not found: {samples_path}")
+    lines = read_text(samples_path, DataError).splitlines()
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"line {line_no} is not valid JSON: {exc}",
                             field=str(samples_path))
         sample = _parse_sample(obj, manifest, line_no)

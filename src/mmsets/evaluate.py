@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from .fusion import ImportanceRecord
-from .metrics import EvalReport, UndefinedMetricError, accuracy_suite, f1_suite, roc_auc
+from .metrics import EvalReport, UndefinedMetricError, accuracy_suite, decide, f1_suite, roc_auc
 from .tensor import sigmoid_values
 from .training import TrainConfig, kfold_split, train
 
@@ -16,28 +16,21 @@ PREDICT_CHUNK = 32  # samples per batched forward; bounds the activations held a
 
 
 def predict_scores(model, samples):
-    """Sigmoid class scores [n,C] plus importance records (max/min pools).
+    """Sigmoid class scores [n,C] plus the [n,D] owner matrix of
+    ``forward_batch`` (max/min pools; None otherwise or for no samples).
 
     Samples go through ``model.forward_batch`` in order, PREDICT_CHUNK at a
     time.
     """
     scores = np.zeros((len(samples), model.num_classes))
-    records = []
+    owners = []
     for start in range(0, len(samples), PREDICT_CHUNK):
         chunk = samples[start:start + PREDICT_CHUNK]
-        logits, owners = model.forward_batch(chunk)
+        logits, chunk_owners = model.forward_batch(chunk)
         scores[start:start + len(chunk)] = sigmoid_values(logits.data)
-        if owners is not None:
-            records.extend(ImportanceRecord.from_owners(s.sample_id, model.modality_ids, row)
-                           for s, row in zip(chunk, owners))
-    return scores, records
-
-
-def decide(scores: np.ndarray, task: str) -> np.ndarray:
-    """Decision rule: argmax for single-label, 0.5 threshold for multi-label."""
-    if task == "single_label":
-        return np.argmax(scores, axis=1)
-    return (scores >= 0.5).astype(np.int64)
+        if chunk_owners is not None:
+            owners.append(chunk_owners)
+    return scores, np.concatenate(owners) if owners else None
 
 
 def _fold_metrics(scores, samples, task: str, num_classes: int) -> dict:
@@ -67,7 +60,10 @@ def _fold_metrics(scores, samples, task: str, num_classes: int) -> dict:
 
 def evaluate_model(model, samples, task: str):
     """Metrics plus importance records for one model over one sample list."""
-    scores, records = predict_scores(model, samples)
+    scores, owners = predict_scores(model, samples)
+    records = [] if owners is None else [
+        ImportanceRecord.from_owners(s.sample_id, model.modality_ids, row)
+        for s, row in zip(samples, owners)]
     return _fold_metrics(scores, samples, task, model.num_classes), records, scores
 
 

@@ -335,41 +335,35 @@ class _ModelCore:
             raise ValueError(f"got {len(rngs)} rngs for {len(samples)} samples")
         groups = [self._group(s, None if rngs is None else rngs[b])
                   for b, s in enumerate(samples)]
-        rows, order = self._encode(groups, rngs)
-        x, owners = self._combine(groups, rows, order)
+        # owner[i] indexes in modality_ids the modality of element i, the
+        # elements numbered sample after sample; order lists them modality
+        # after modality, each modality's in that numbering
+        owner = np.array([i for group in groups for i, got in enumerate(group.values())
+                          for _ in got], dtype=np.intp)
+        order = np.argsort(owner, kind="stable")
+        rows = self._encode(groups, rngs, order)
+        x, owners = self._combine(groups, rows, owner, order)
         return self.predictor(x), owners
 
-    def _encode(self, groups, rngs):
-        """Encode every element of a batch, one block per modality.
+    def _encode(self, groups, rngs, order):
+        """Encode every element of a batch, one block per modality: the rows
+        in ``order``, or None when the batch has no elements.
 
         ``groups[b]`` maps each modality id, in id order, to sample b's
-        payloads, as ``_group`` returns them; "sample-major" numbers all the
-        elements in that order, sample after sample. Returns the encoded
-        rows, modality after modality, and each row's sample-major position;
-        None and an empty array when the batch has no elements. In a training
-        batch dropout then covers all the rows at once: each sample draws its
-        rows' uniforms from its own stream, in its element order, as one
-        block.
+        payloads, as ``_group`` returns them. In a training batch dropout then
+        covers all the rows at once: each sample draws its rows' uniforms from
+        its own stream, in its element order, as one block.
         """
-        positions = {mid: [] for mid in self.modality_ids}
-        payloads = {mid: [] for mid in self.modality_ids}
-        n = 0
-        for group in groups:
-            for mid, got in group.items():
-                positions[mid].extend(range(n, n + len(got)))
-                payloads[mid].extend(got)
-                n += len(got)
-        order = np.array([i for mid in self.modality_ids for i in positions[mid]],
-                         dtype=np.intp)
-        if n == 0:
-            return None, order
-        rows = T.concat([self.encoders[mid].encode(payloads[mid])
-                         for mid in self.modality_ids if payloads[mid]], axis=0)
+        if order.size == 0:
+            return None
+        blocks = [[p for group in groups for p in group[mid]] for mid in self.modality_ids]
+        rows = T.concat([self.encoders[mid].encode(block)
+                         for mid, block in zip(self.modality_ids, blocks) if block], axis=0)
         if rngs is not None:
             uniforms = np.concatenate([rng.random((sum(map(len, g.values())), self.config.dim))
                                        for g, rng in zip(groups, rngs)])
             rows = T.dropout(rows, self.config.dropout_p, uniforms[order])
-        return rows, order
+        return rows
 
     def named_parameters(self) -> dict[str, T.Tensor]:
         params = {}
@@ -413,17 +407,13 @@ class FusionModel(_ModelCore):
     def _group(self, sample, rng):
         return build_set(sample, self.specs, rng)
 
-    def _combine(self, groups, rows, order):
+    def _combine(self, groups, rows, owner, order):
         """Pool each sample's rows only: ([B,D], the [B,D] owner matrix under
         max/min pooling, None under sum and mean)."""
         x = T.scatter_rows(rows, order, (order.size, self.config.dim))
         pooled, argidx = T.reduce_over_set(x, self.pool,
                                            [sum(map(len, g.values())) for g in groups])
-        if argidx is None:
-            return pooled, None
-        owners_of_rows = np.array([i for group in groups
-                                   for i, got in enumerate(group.values()) for _ in got])
-        return pooled, owners_of_rows[argidx]
+        return pooled, None if argidx is None else owner[argidx]
 
 
 class ConcatModel(_ModelCore):
@@ -452,7 +442,7 @@ class ConcatModel(_ModelCore):
             del got[self.slots[mid]:]
         return group
 
-    def _combine(self, groups, rows, order):
+    def _combine(self, groups, rows, owner, order):
         """Row b of the [B, sum(slots)*D] result is sample b's slot vector."""
         n_slots = sum(self.slots.values())
         slot_rows = []

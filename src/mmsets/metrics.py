@@ -49,6 +49,13 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def decide(scores: np.ndarray, task: str) -> np.ndarray:
+    """Decision rule: argmax for single-label, 0.5 threshold for multi-label."""
+    if task == "single_label":
+        return np.argmax(scores, axis=1)
+    return (scores >= 0.5).astype(np.int64)
+
+
 def _f1_from_counts(tp: int, fp: int, fn: int, when_empty: float) -> float:
     denom = 2 * tp + fp + fn
     if denom == 0:

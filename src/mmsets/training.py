@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError, NumericError, check_int, check_real
+from .metrics import decide
 from .seeding import derive_rng, sample_rng
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's fixed moment decay rates and denominator floor
@@ -161,9 +162,10 @@ def inverse_sqrt_class_weights(label_matrix: np.ndarray) -> np.ndarray:
 
 def _accuracy_terms(scores: np.ndarray, labels: np.ndarray, task: str) -> np.ndarray:
     """Per-sample accuracy of score rows against label rows."""
+    pred = decide(scores, task)
     if task == "single_label":
-        return (np.argmax(scores, axis=1) == np.argmax(labels, axis=1)).astype(np.float64)
-    return np.mean((scores >= 0.5) == (labels == 1), axis=1)
+        return (pred == np.argmax(labels, axis=1)).astype(np.float64)
+    return np.mean(pred == labels, axis=1)
 
 
 def train(model, samples, config: TrainConfig, task: str = "single_label",

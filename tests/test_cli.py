@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -406,3 +407,118 @@ def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, conf
     assert code == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def _dataset_copy(**files):
+    """A setup that copies the dataset to the bad path, ``files`` (name ->
+    bytes) replaced."""
+    def setup(bad, data):
+        bad.mkdir()
+        for name in ("manifest.json", "samples.jsonl"):
+            (bad / name).write_bytes(files.get(name) or (data / name).read_bytes())
+    return setup
+
+
+NOT_UTF8 = b'{"seed": "\xff"}\n'
+TRAIN_ON_DATA = ["train", "--data", "DATA", "--epochs", "1", "--warmup-epochs", "0"]
+EVAL_BAD_CHECKPOINT = ["eval", "--data", "DATA", "--checkpoint", "BAD"]
+
+
+@pytest.mark.parametrize("argv,setup,code", [
+    (["train", "--data", "BAD"], lambda bad, data: bad.write_text("{}"), 2),
+    ([*TRAIN_ON_DATA, "--config", "BAD"], lambda bad, data: bad.mkdir(), 1),
+    (EVAL_BAD_CHECKPOINT, lambda bad, data: bad.mkdir(), 2),
+    (["train", "--data", "BAD"], _dataset_copy(**{"samples.jsonl": b"\xff\n"}), 2),
+    ([*TRAIN_ON_DATA, "--config", "BAD"], lambda bad, data: bad.write_bytes(NOT_UTF8), 1),
+    (EVAL_BAD_CHECKPOINT, lambda bad, data: bad.write_bytes(NOT_UTF8), 2),
+    (["train", "--data", "BAD"], _dataset_copy(**{"manifest.json": b"5"}), 2),
+    (["train", "--data", "BAD"], _dataset_copy(**{"manifest.json": b"null"}), 2),
+    (["train", "--data", "BAD"], _dataset_copy(**{"manifest.json": b"true"}), 2),
+    (["train", "--data", "BAD"], _dataset_copy(**{"manifest.json": b"1.5"}), 2),
+    ([*TRAIN_ON_DATA, "--out", "BAD"], lambda bad, data: bad.write_text(""), 1),
+    (["gen-synthetic", "--out", "BAD"], lambda bad, data: bad.write_text(""), 1),
+    ([*TRAIN_ON_DATA, "--config", "BAD"], lambda bad, data: bad.write_text("[" * 100000), 1),
+], ids=["data-is-a-file", "config-is-a-directory", "checkpoint-is-a-directory",
+        "samples-not-utf8", "config-not-utf8", "checkpoint-not-utf8", "manifest-holds-5",
+        "manifest-holds-null", "manifest-holds-true", "manifest-holds-float",
+        "train-out-is-a-file", "gen-synthetic-out-is-a-file", "config-nested-too-deep"])
+def test_unreadable_input_is_one_line_before_writing(tmp_path, capsys, argv, setup, code):
+    data = gen_dataset(tmp_path)
+    bad = tmp_path / "bad"
+    setup(bad, data)
+    argv = [{"BAD": str(bad), "DATA": str(data)}.get(a, a) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "runs")]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before  # no run directory, nothing written
+
+
+# what a mutation may put in place of a node; no int above 8, so no size is large
+MUTATIONS = [None, True, False, -1, 0, 1, 2, 8, 0.0, 0.5, -2.5, 1e-3, "", "x", "m0", "max",
+             [], [1], ["m0"], [[]], {}, {"m0": 1}]
+
+
+def _mutate(obj, rng: random.Random):
+    """``obj`` with one random node replaced from MUTATIONS or deleted; the
+    root is only ever replaced."""
+    nodes = [(None, None)]  # (container, key) of every node; the root has none
+
+    def walk(node):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            nodes.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(obj)
+    container, key = rng.choice(nodes)
+    value = json.loads(json.dumps(rng.choice(MUTATIONS)))  # a fresh copy
+    if container is None:
+        return value
+    if rng.random() < 0.5:
+        del container[key]
+    else:
+        container[key] = value
+    return obj
+
+
+def test_mutated_inputs_end_in_an_exit_code(tmp_path):
+    """Property test: with one random node of a valid manifest, sample line,
+    config or checkpoint replaced or deleted, ``main`` returns 0 to 3."""
+    out = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(out), "--samples", "4", "--modalities", "2",
+                 "--seed", "5"]) == 0
+    (data,) = run_dirs(out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dim": 4, "epochs": 2, "warmup_epochs": 1,
+                                  "batch_size": 2}))
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(tmp_path / "tr")]) == 0
+    (train_dir,) = run_dirs(tmp_path / "tr")
+    valid = {"manifest.json": (data / "manifest.json").read_text(),
+             "samples.jsonl": (data / "samples.jsonl").read_text(),
+             "config.json": config.read_text(),
+             "checkpoint.json": (train_dir / "checkpoint.json").read_text()}
+    rng = random.Random(0)
+    for case in range(200):
+        files = dict(valid)
+        name = rng.choice(sorted(files))
+        docs = files[name].splitlines() if name == "samples.jsonl" else [files[name]]
+        i = rng.randrange(len(docs))
+        docs[i] = json.dumps(_mutate(json.loads(docs[i]), rng))
+        files[name] = "\n".join(docs) + "\n"
+        case_dir = tmp_path / f"case{case}"
+        case_dir.mkdir()
+        for file_name, text in files.items():
+            (case_dir / file_name).write_text(text)
+        command = (["eval", "--checkpoint", str(case_dir / "checkpoint.json"), "--importance"]
+                   if name == "checkpoint.json" else ["train"])
+        try:
+            code = main([*command, "--data", str(case_dir), "--config",
+                         str(case_dir / "config.json"), "--out", str(case_dir / "runs")])
+        except Exception as exc:
+            pytest.fail(f"case {case}: {name} holding {files[name][:300]!r} raised {exc!r}")
+        assert code in (0, 1, 2, 3)

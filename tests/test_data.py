@@ -153,6 +153,8 @@ class TestLoader:
             sample_line(instances=[{"modality": "obj", "payload": [1.5]}]),
             sample_line(instances=[{"modality": "obj", "payload": [True]}]),
             sample_line(group=7),
+            sample_line(instances=[{"modality": ["img"], "payload": [1.0, 2.0, 3.0]}]),
+            sample_line(instances=[{"modality": {}, "payload": [1.0, 2.0, 3.0]}]),
         ]
         for bad in cases:
             paths = write_dataset(tmp_path, small_manifest().to_dict(), [bad])

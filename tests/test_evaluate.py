@@ -3,7 +3,7 @@ import pytest
 
 from mmsets.data import SyntheticConfig, generate_synthetic
 from mmsets.evaluate import PREDICT_CHUNK, decide, evaluate_model, predict_scores, run_kfold
-from mmsets.fusion import FusionModel, aggregate_importance
+from mmsets.fusion import FusionModel, ImportanceRecord, aggregate_importance
 from mmsets.tensor import sigmoid_values
 from mmsets.training import TrainConfig
 
@@ -23,26 +23,26 @@ def test_decide_rules():
 def test_predict_scores_shapes_and_records():
     manifest, samples = small_dataset()
     model = FusionModel(manifest.modalities, num_classes=2, dim=8, pool="max")
-    scores, records = predict_scores(model, samples)
+    scores, owners = predict_scores(model, samples)
     assert scores.shape == (len(samples), 2)
     assert np.all((scores >= 0) & (scores <= 1))
-    assert len(records) == len(samples)
+    assert owners.shape == (len(samples), 8)
     model.pool = "sum"
-    _, records = predict_scores(model, samples)
-    assert records == []
+    _, owners = predict_scores(model, samples)
+    assert owners is None
 
 
 def test_predict_scores_chunks_match_single_forwards():
     # more samples than one chunk holds, so the last chunk is partial
     manifest, samples = small_dataset(n=PREDICT_CHUNK + 9)
     model = FusionModel(manifest.modalities, num_classes=2, dim=8, pool="max")
-    scores, records = predict_scores(model, samples)
+    scores, owners = predict_scores(model, samples)
     for i, sample in enumerate(samples):
         logits, record = model.forward(sample)
         np.testing.assert_allclose(scores[i], sigmoid_values(logits.data[0]),
                                    rtol=0, atol=1e-12)
-        assert records[i].sample_id == sample.sample_id
-        assert records[i].counts == record.counts
+        assert ImportanceRecord.from_owners(sample.sample_id, model.modality_ids,
+                                            owners[i]) == record
 
 
 def test_evaluate_model_single_label_fields():

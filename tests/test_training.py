@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mmsets.tensor as T
+import mmsets.training as training
 from mmsets.data import ModalityInstance, Sample
 from mmsets.errors import DataError, NumericError
 from mmsets.fusion import FusionModel, ImportanceRecord, ModalitySpec
@@ -311,6 +312,28 @@ class TestTrain:
         history = train(_tiny_model(seed=12), _tiny_dataset(8, seed=13),
                         TrainConfig(epochs=2, warmup_epochs=0, seed=14), task="single_label")
         assert len(history) == 2
+
+    def test_class_weighting_weights_the_loss(self, monkeypatch):
+        # three positives of class 1 to every one of class 0
+        samples = [s for i, s in enumerate(_tiny_dataset(24, seed=18)) if i % 2 or i % 6 == 0]
+        labels = np.stack([s.labels for s in samples])
+        seen = []
+
+        def recording_loss(logits, targets, weights):
+            seen.append(weights)
+            return weighted_sigmoid_ce(logits, targets, weights)
+
+        monkeypatch.setattr(training, "weighted_sigmoid_ce", recording_loss)
+        histories = {}
+        for weighting in (False, True):
+            seen.clear()
+            config = TrainConfig(epochs=2, warmup_epochs=0, batch_size=4, seed=19,
+                                 class_weighting=weighting)
+            histories[weighting] = train(_tiny_model(seed=20), samples, config)
+            expected = inverse_sqrt_class_weights(labels) if weighting else np.ones(2)
+            assert seen and all(np.array_equal(w, expected) for w in seen)
+        assert not np.allclose(expected, 1.0)
+        assert histories[True] != histories[False]
 
     def test_history_fields(self):
         samples = _tiny_dataset(8, seed=9)
