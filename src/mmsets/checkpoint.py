@@ -26,7 +26,10 @@ def _encode_array(arr: np.ndarray) -> dict:
             "data": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
-def _decode_array(obj: dict) -> np.ndarray:
+def _decode_array(obj, name: str) -> np.ndarray:
+    if not (isinstance(obj, dict) and isinstance(obj.get("shape"), list)
+            and isinstance(obj.get("data"), str)):
+        raise ValueError(f"parameter {name!r} needs a list 'shape' and a string 'data'")
     raw = base64.b64decode(obj["data"])
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
 
@@ -59,8 +62,9 @@ def load_checkpoint(path):
     """Rebuild the model and restore its parameters bit-exactly; anything
     malformed, missing or out of range raises DataError."""
     obj = read_json_object(path, DataError)
-    if obj.get("checkpoint_version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint_version {obj.get('checkpoint_version')!r}")
+    version = obj.get("checkpoint_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint_version {version!r}")
     try:
         return _restore(obj)
     except KeyError as exc:
@@ -70,6 +74,8 @@ def load_checkpoint(path):
 
 
 def _restore(obj: dict):
+    if not isinstance(obj["specs"], list):
+        raise ValueError("specs must be a list of modality objects")
     specs = [ModalitySpec.from_dict(d) for d in obj["specs"]]
     config = {f.name: obj[f.name] for f in fields(ModelConfig)}
     kind = obj.get("model_kind")
@@ -87,7 +93,7 @@ def _restore(obj: dict):
         missing = set(params) ^ set(stored)
         raise DataError(f"checkpoint parameters do not match the model: {sorted(missing)}")
     for name, p in params.items():
-        arr = _decode_array(stored[name])
+        arr = _decode_array(stored[name], name)
         if arr.shape != p.data.shape:
             raise DataError(
                 f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}")

@@ -67,6 +67,11 @@ class ModalitySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a modality must be a JSON object, not {type(d).__name__}")
+        for key in ("modality_id", "kind"):
+            if key not in d:
+                raise ValueError(f"modality is missing {key!r}")
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 

@@ -66,48 +66,45 @@ def lr_at(config: TrainConfig, progress: float) -> float:
 
 
 class AdamWState:
-    """Per-parameter moment buffers plus the shared step counter."""
+    """AdamW over one flat vector: ``theta`` holds every parameter in
+    ``params`` order, and each parameter's ``data`` and ``grad`` become views
+    of its run of ``theta`` and of the zeroed ``grad``. ``m`` and ``v`` match
+    them. Nothing may rebind a ``data`` or ``grad`` while the state is used."""
 
     def __init__(self, params: dict[str, T.Tensor],
                  weight_decay: float = TrainConfig.weight_decay):
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.names = list(params)
+        self.ends = np.cumsum([p.data.size for p in params.values()])
+        self.theta = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        self.grad, self.m, self.v = np.zeros((3, self.theta.size))
+        runs = zip(np.split(self.theta, self.ends[:-1]), np.split(self.grad, self.ends[:-1]))
+        for p, (data, grad) in zip(params.values(), runs):
+            p.data = data.reshape(p.data.shape)
+            p.grad = grad.reshape(p.data.shape)
         self.t = 0
         self.weight_decay = weight_decay
 
 
-def adamw_step(params: dict[str, T.Tensor], grads: dict[str, Optional[np.ndarray]],
-               state: AdamWState, lr: float) -> None:
-    """One AdamW update: bias-corrected Adam step, then theta *= 1 - lr*wd.
-
-    The decay is decoupled from the gradient term, so a zero-gradient step
-    is a pure multiplicative shrink. A parameter with no gradient this step
-    (grads entry None) still has its moments decayed and its decay applied.
-    Every gradient is checked before anything is updated, so a non-finite
-    one raises NumericError with the parameters, moments and step count
-    untouched.
-    """
+def adamw_step(state: AdamWState, lr: float) -> None:
+    """One AdamW update of ``state.theta``: the bias-corrected Adam step on
+    ``state.grad``, then the decoupled decay theta *= 1 - lr*wd, so a
+    zero-gradient step is a pure shrink. A non-finite gradient raises
+    NumericError naming its parameter before anything is updated."""
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    for name in params:
-        g = grads.get(name)
-        if g is not None and not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
+    finite = np.isfinite(state.grad)
+    if not finite.all():
+        first = np.searchsorted(state.ends, np.argmin(finite), side="right")
+        raise NumericError(f"non-finite gradient for parameter {state.names[first]!r}")
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        v *= BETA2
-        if g is not None:
-            m += (1.0 - BETA1) * g
-            v += (1.0 - BETA2) * np.square(g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-        if state.weight_decay:
-            p.data *= 1.0 - lr * state.weight_decay
+    state.m *= BETA1
+    state.v *= BETA2
+    state.m += (1.0 - BETA1) * state.grad
+    state.v += (1.0 - BETA2) * np.square(state.grad)
+    state.theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + EPS)
+    state.theta *= 1.0 - lr * state.weight_decay
 
 
 def weighted_sigmoid_ce(logits: T.Tensor, targets: np.ndarray, weights: np.ndarray) -> T.Tensor:
@@ -190,8 +187,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     """
     if not samples:
         raise DataError("cannot train on an empty dataset")
-    params = model.named_parameters()
-    state = AdamWState(params, weight_decay=config.weight_decay)
+    state = AdamWState(model.named_parameters(), weight_decay=config.weight_decay)
     labels = np.stack([s.labels for s in samples])
     if config.class_weighting:
         weights = inverse_sqrt_class_weights(labels)
@@ -208,8 +204,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
         for start in range(0, n, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
             batch = [samples[i] for i in batch_idx]
-            for p in params.values():
-                p.grad = None
+            state.grad.fill(0.0)
             rngs = [sample_rng(config.seed, epoch, s.sample_id) for s in batch]
             with T.Tape():
                 logits, _ = model.forward_batch(batch, rngs)
@@ -224,7 +219,7 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
             loss_sum += float(loss_values.sum())
             acc_sum += float(_accuracy_terms(T.sigmoid_values(logits.data),
                                              labels[batch_idx], task).sum())
-            adamw_step(params, {name: p.grad for name, p in params.items()}, state, lr)
+            adamw_step(state, lr)
         record = {
             "epoch": epoch,
             "lr": lr,

@@ -241,7 +241,7 @@ def test_criterion_6_training_recipe_conformance():
 
     params = {"w": T.parameter(np.full((3, 2), 2.0))}
     state = AdamWState(params, weight_decay=0.01)
-    adamw_step(params, {"w": np.zeros((3, 2))}, state, lr=0.5)
+    adamw_step(state, lr=0.5)
     expected = 2.0 * (1.0 - 0.5 * 0.01)
     ok_decay = bool(np.all(params["w"].data == expected))
 

@@ -75,6 +75,11 @@ def _truncate_first_param(obj):
     return obj
 
 
+def _first_param_a_string(obj):
+    obj["params"][next(iter(obj["params"]))] = "x"
+    return obj
+
+
 def _swap_slots(obj):
     # the slot total, and with it every parameter shape, stays the same
     (a, na), (b, nb) = obj["slots"].items()
@@ -99,8 +104,10 @@ def _concat_with_uneven_slots():
     (_fusion, lambda obj: {**obj, "dropout_p": 1.5}, "dropout_p"),
     (_fusion, lambda obj: {**obj, "kernel_widths": []}, "kernel_widths"),
     (_concat_with_uneven_slots, _swap_slots, "slots"),
+    (_fusion, lambda obj: {**obj, "specs": 0.5}, "specs must be a list of modality objects"),
+    (_fusion, _first_param_a_string, r"parameter '.+' needs a list 'shape' and a string 'data'"),
 ], ids=["missing-field", "truncated-base64", "not-an-object", "dropout-out-of-range",
-        "no-kernel-widths", "concat-slots-swapped"])
+        "no-kernel-widths", "concat-slots-swapped", "specs-a-float", "param-a-string"])
 def test_malformed_checkpoint_is_data_error(tmp_path, build, corrupt, match):
     path = tmp_path / "ckpt.json"
     save_checkpoint(build(), path)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from mmsets.checkpoint import load_checkpoint
 from mmsets.cli import (EVAL_DEFAULTS, GEN_DEFAULTS, MODEL_DEFAULTS, TRAIN_DEFAULTS,
                         build_parser, main)
+from mmsets.errors import DataError
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -233,6 +235,21 @@ class TestEval:
         assert code == 0
         (run_dir,) = run_dirs(tmp_path / "ev")
         assert (run_dir / "fim.csv").read_text().splitlines()[1].startswith("max_D8,")
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_checkpoint_version_must_be_the_integer_1(self, tmp_path, capsys, version):
+        data = gen_dataset(tmp_path)
+        checkpoint = train_checkpoint(tmp_path, data)
+        obj = json.loads(checkpoint.read_text())
+        obj["checkpoint_version"] = version
+        checkpoint.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match="unsupported checkpoint_version"):
+            load_checkpoint(checkpoint)
+        out = tmp_path / "ev"
+        assert main(["eval", "--data", str(data), "--out", str(out),
+                     "--checkpoint", str(checkpoint)]) == 2
+        assert "checkpoint_version" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_needs_kfold_or_checkpoint(self, tmp_path):
         data = gen_dataset(tmp_path)

@@ -111,6 +111,17 @@ class TestLoader:
             load_dataset(*paths)
         assert info.value.sample_id is None  # not blamed on a sample
 
+    @pytest.mark.parametrize("spec,message", [
+        (5, "a modality must be a JSON object, not int"),
+        ({"modality_id": "img", "input_dim": 3}, "modality is missing 'kind'"),
+    ], ids=["modality-an-int", "modality-without-kind"])
+    def test_malformed_modality_named(self, tmp_path, spec, message):
+        obj = small_manifest().to_dict()
+        obj["modalities"][1] = spec
+        paths = write_dataset(tmp_path, obj, [sample_line()])
+        with pytest.raises(DataError, match=rf"manifest.json:modalities\[1\]: {message}$"):
+            load_dataset(*paths)
+
     @pytest.mark.parametrize("field,value", [("modalities", 5), ("class_names", [[1], [2]]),
                                              ("class_names", [1, 2]), ("sample_count", True),
                                              ("format_version", True),

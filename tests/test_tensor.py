@@ -88,6 +88,20 @@ class TestElu:
             x.data, h=1e-6)
         assert max_rel_err(x.grad, numeric) < 1e-6
 
+    def test_signed_zeros_and_nan(self):
+        # -0.0 stays -0.0 and NaN stays NaN; the backward scales every
+        # x <= 0, -0.0 included, by out + 1 and passes NaN's gradient through
+        x = T.parameter([[-0.0, 0.0, np.nan, -1.0, -np.inf, 2.0]])
+        g = np.array([[3.0, 5.0, 7.0, 11.0, 13.0, 17.0]])
+        with T.Tape():
+            out = T.elu(x)
+        T.backward(out, g)
+        assert np.signbit(out.data[0, 0]) and not np.signbit(out.data[0, 1])
+        assert np.isnan(out.data[0, 2])
+        np.testing.assert_array_equal(out.data[0, 3:], [math.expm1(-1.0), -1.0, 2.0])
+        neg = np.array([[True, True, False, True, True, False]])
+        np.testing.assert_array_equal(x.grad, np.where(neg, g * (out.data + 1.0), g))
+
 
 class TestSigmoid:
     def test_zero_is_half(self):

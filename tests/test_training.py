@@ -62,19 +62,20 @@ class TestAdamW:
     def test_zero_gradient_no_decay_is_fixed_point(self):
         params = _scalar_params(1.5)
         state = AdamWState(params, weight_decay=0.0)
-        adamw_step(params, {"theta": np.zeros((1, 1))}, state, lr=0.1)
+        adamw_step(state, lr=0.1)
         assert params["theta"].data[0, 0] == 1.5
 
     def test_zero_gradient_with_decay_is_pure_shrink(self):
         params = _scalar_params(2.0)
         state = AdamWState(params, weight_decay=0.01)
-        adamw_step(params, {"theta": np.zeros((1, 1))}, state, lr=0.1)
+        adamw_step(state, lr=0.1)
         assert params["theta"].data[0, 0] == 2.0 * (1.0 - 0.1 * 0.01)
 
     def test_one_step_matches_reference_formulas(self):
         params = _scalar_params(1.0)
         state = AdamWState(params, weight_decay=0.01)
-        adamw_step(params, {"theta": np.ones((1, 1))}, state, lr=0.001)
+        params["theta"].grad[...] = 1.0
+        adamw_step(state, lr=0.001)
         # hand-rolled reference: m/v update, bias correction, step, decay
         beta1, beta2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.01, 0.001
         m = (1 - beta1) * 1.0
@@ -94,7 +95,8 @@ class TestAdamW:
         v = np.zeros_like(ref)
         for t in range(1, 6):
             g = rng.standard_normal((3, 2))
-            adamw_step(params, {"w": g.copy()}, state, lr=0.01)
+            params["w"].grad[...] = g
+            adamw_step(state, lr=0.01)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             ref = ref - 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -104,24 +106,54 @@ class TestAdamW:
     def test_nonfinite_gradient_aborts_naming_parameter(self):
         params = _scalar_params(1.0)
         state = AdamWState(params)
+        params["theta"].grad[...] = np.nan
         with pytest.raises(NumericError, match="theta"):
-            adamw_step(params, {"theta": np.array([[np.nan]])}, state, lr=0.01)
+            adamw_step(state, lr=0.01)
 
     def test_nonfinite_gradient_updates_nothing(self):
         params = {"a": T.parameter([[1.0]]), "b": T.parameter([[2.0]])}
         state = AdamWState(params)
-        grads = {"a": np.ones((1, 1)), "b": np.array([[np.inf]])}
+        params["a"].grad[...] = 1.0
+        params["b"].grad[...] = np.inf
         with pytest.raises(NumericError, match="'b'"):
-            adamw_step(params, grads, state, lr=0.1)
+            adamw_step(state, lr=0.1)
         assert params["a"].data[0, 0] == 1.0 and params["b"].data[0, 0] == 2.0
         assert state.t == 0
-        assert not state.m["a"].any() and not state.v["a"].any()
+        assert not state.m.any() and not state.v.any()
 
-    def test_missing_gradient_still_decays(self):
-        params = _scalar_params(3.0)
-        state = AdamWState(params, weight_decay=0.1)
-        adamw_step(params, {}, state, lr=0.5)
-        assert params["theta"].data[0, 0] == 3.0 * (1.0 - 0.5 * 0.1)
+    def test_flat_step_matches_the_per_parameter_update_bit_for_bit(self):
+        # the update of one parameter at a time, in the step's float order
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 2), "b": (1, 2), "e": (4, 1)}
+        params = {n: T.parameter(rng.standard_normal(s)) for n, s in shapes.items()}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        state = AdamWState(params, weight_decay=0.02)
+        for t in range(1, 4):
+            lr = 0.01 * t
+            c1, c2 = 1.0 - training.BETA1 ** t, 1.0 - training.BETA2 ** t
+            for n, p in params.items():
+                g = rng.standard_normal(shapes[n])
+                p.grad[...] = g
+                m[n] = m[n] * training.BETA1 + (1.0 - training.BETA1) * g
+                v[n] = v[n] * training.BETA2 + (1.0 - training.BETA2) * np.square(g)
+                ref[n] = ref[n] - lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + training.EPS)
+                ref[n] = ref[n] * (1.0 - lr * 0.02)
+            adamw_step(state, lr)
+        for n, p in params.items():
+            assert p.data.tobytes() == ref[n].tobytes(), n
+
+    def test_parameters_and_gradients_are_views_of_the_flat_vectors(self):
+        params = {"w": T.parameter(np.arange(6.0).reshape(3, 2)),
+                  "b": T.parameter([[7.0, 8.0]])}
+        state = AdamWState(params)
+        np.testing.assert_array_equal(state.theta, [0, 1, 2, 3, 4, 5, 7, 8])
+        for p in params.values():
+            assert np.shares_memory(p.data, state.theta)
+            assert np.shares_memory(p.grad, state.grad)
+        params["b"].grad[0, 1] = 3.0
+        assert state.grad[7] == 3.0
 
 
 class TestLoss:
@@ -258,10 +290,27 @@ class TestTrain:
         before = {n: p.data.copy() for n, p in model.named_parameters().items()}
         params = model.named_parameters()
         state = AdamWState(params, weight_decay=0.01)
-        adamw_step(params, {n: np.zeros_like(p.data) for n, p in params.items()},
-                   state, lr=0.0)
+        adamw_step(state, lr=0.0)
         for n, p in params.items():
             np.testing.assert_array_equal(p.data, before[n])
+
+    def test_encoder_of_an_absent_modality_only_decays(self):
+        # no sample has "y": its encoder gets a zero gradient on every step,
+        # so each step only multiplies its weights by 1 - lr*wd
+        model = FusionModel([ModalitySpec("x", "dense", input_dim=4),
+                             ModalitySpec("y", "dense", input_dim=3)], num_classes=2,
+                            dim=8, predictor_hidden=(8,), seed=21)
+        initial = model.named_parameters()["encoder.y.weight"].data.copy()
+        samples = _tiny_dataset(10, seed=22)
+        config = TrainConfig(epochs=3, warmup_epochs=1, batch_size=4, seed=23)
+        train(model, samples, config)
+        expected = initial.copy()
+        for epoch in range(config.epochs):
+            for _ in range(math.ceil(len(samples) / config.batch_size)):
+                expected *= 1.0 - lr_at(config, epoch) * config.weight_decay
+        assert not np.array_equal(expected, initial)
+        np.testing.assert_array_equal(model.named_parameters()["encoder.y.weight"].data,
+                                      expected)
 
     def test_learns_separable_task(self):
         samples = _tiny_dataset(60, seed=3)
