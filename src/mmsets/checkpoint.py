@@ -89,6 +89,8 @@ def _restore(obj: dict):
         raise DataError(f"unknown model_kind {kind!r}")
     params = model.named_parameters()
     stored = obj["params"]
+    if not isinstance(stored, dict):
+        raise ValueError("params must be an object mapping parameter names to arrays")
     if set(params) != set(stored):
         missing = set(params) ^ set(stored)
         raise DataError(f"checkpoint parameters do not match the model: {sorted(missing)}")

@@ -204,8 +204,9 @@ class SequenceEncoder:
     """Index-sequence encoder: lookup table, multi-width 1-D convolutions
     with max-over-time, then a projection to the common dimension.
 
-    Sequences shorter than the widest kernel are right-padded with the
-    reserved index 0 so the convolution is always defined. A block of
+    Sequences shorter than the widest kernel are right-padded with index 0
+    so the convolution is always defined. Index 0 is also a real token, so
+    padding aliases it (ROADMAP item 4, still open). A block of
     sequences is encoded at once: they are joined end to end, and each
     one's max-over-time covers only the windows inside it.
     """

@@ -91,26 +91,31 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def _tracked(t: Tensor) -> bool:
+    return t.requires_grad or t.tape is not None
+
+
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into the gradient buffer of ``t``, allocating on first use."""
+    """Add ``g`` into the gradient buffer of ``t``, allocating on first use.
+
+    ``g`` is dropped when ``t`` is neither a parameter nor a recorded output.
+    """
+    if not _tracked(t):
+        return
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t.tape is not None
-
-
 def register_op(out: Tensor, inputs: Iterable[Tensor],
                 backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Attach ``out`` to the active tape when any input participates in autodiff.
 
-    ``backward_fn(g)`` receives the gradient of ``out`` and adds its inputs'
-    shares with ``accumulate_grad``; it must not hold ``out`` itself. This is
-    the extension point for custom differentiable operations defined outside
-    this module (the training loss uses it).
+    ``backward_fn(g)`` gets the gradient of ``out`` and passes every input's
+    share to ``accumulate_grad`` without checking the input; it must not hold
+    ``out``. This is the extension point for custom differentiable operations
+    defined outside this module (the training loss uses it).
     """
     tape = active_tape()
     if tape is not None and any(_tracked(t) for t in inputs):
@@ -163,12 +168,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(x.data @ weight.data + bias.data)
 
     def backward_fn(g):
-        if _tracked(x):
-            accumulate_grad(x, g @ weight.data.T)
-        if _tracked(weight):
-            accumulate_grad(weight, x.data.T @ g)
-        if _tracked(bias):
-            accumulate_grad(bias, g.sum(axis=0, keepdims=True))
+        accumulate_grad(x, g @ weight.data.T)
+        accumulate_grad(weight, x.data.T @ g)
+        accumulate_grad(bias, g.sum(axis=0, keepdims=True))
 
     return register_op(out, (x, weight, bias), backward_fn)
 
@@ -182,8 +184,6 @@ def elu(x: Tensor) -> Tensor:
     out = Tensor(out_data)
 
     def backward_fn(g):
-        if not _tracked(x):
-            return
         dx = g.copy()
         dx[neg] *= out_data[neg] + 1.0  # exp(x) recovered from the output
         accumulate_grad(x, dx)
@@ -218,8 +218,7 @@ def dropout(x: Tensor, p: float, uniforms: np.ndarray) -> Tensor:
     out = Tensor(x.data * mask)
 
     def backward_fn(g):
-        if _tracked(x):
-            accumulate_grad(x, g * mask)
+        accumulate_grad(x, g * mask)
 
     return register_op(out, (x,), backward_fn)
 
@@ -232,7 +231,9 @@ def reduce_over_set(x: Tensor, mode: str, sizes: Sequence[int]
     of ``x`` one set; the counts must add up to N. For max/min the second
     return value holds, per set and column, the row of ``x`` that supplied
     the extremum, [B,D]; ties resolve to the lowest row of the set, and a NaN
-    wins as it does in ``np.argmax``. Sum/mean return None.
+    wins as it does in ``np.argmax``. ``out[b, d]`` is ``x[argidx[b, d], d]``
+    bit for bit, so a tie of -0.0 and +0.0 keeps the arg row's sign. Sum/mean
+    return None.
     Backward routes each set's upstream gradient to every row of the set
     (sum/mean, the latter divided by the set size) or only to the arg rows
     (max/min). An empty set raises EmptySetError.
@@ -251,6 +252,7 @@ def reduce_over_set(x: Tensor, mode: str, sizes: Sequence[int]
     if smallest == 0:
         raise EmptySetError("cannot reduce an empty set")
     first = np.cumsum(sizes) - sizes
+    cols = np.arange(d.shape[1])
     argidx: Optional[np.ndarray] = None
     if mode == "sum" or mode == "mean":
         out_data = np.add.reduceat(d, first, axis=0)
@@ -261,26 +263,25 @@ def reduce_over_set(x: Tensor, mode: str, sizes: Sequence[int]
         arg_reduce = np.argmax if mode == "max" else np.argmin
         argidx = arg_reduce(d.reshape(first.size, smallest, d.shape[1]), axis=1)
         argidx += first[:, None]
-        out_data = d[argidx, np.arange(d.shape[1])]
     else:
-        out_data = (np.maximum if mode == "max" else np.minimum).reduceat(d, first, axis=0)
+        extremum = (np.maximum if mode == "max" else np.minimum).reduceat(d, first, axis=0)
         # the lowest row of each set that holds the extremum (or a NaN)
-        hit = d == out_data.repeat(sizes, axis=0)
+        hit = d == extremum.repeat(sizes, axis=0)
         hit |= np.isnan(d)
         argidx = np.minimum.reduceat(np.where(hit, np.arange(n_rows)[:, None], n_rows),
                                      first, axis=0)
+    if argidx is not None:
+        out_data = d[argidx, cols]
     out = Tensor(out_data)
 
     def backward_fn(g):
-        if not _tracked(x):
-            return
         if mode == "sum":
             gx = g.repeat(sizes, axis=0)
         elif mode == "mean":
             gx = (g / sizes[:, None]).repeat(sizes, axis=0)
         else:
             gx = np.zeros_like(d)
-            gx[argidx, np.arange(d.shape[1])] = g
+            gx[argidx, cols] = g
         accumulate_grad(x, gx)
 
     return register_op(out, (x,), backward_fn), argidx
@@ -320,16 +321,13 @@ def conv1d_over_sequence(emb: Tensor, kernels: Tensor, lengths: Sequence[int]) -
     def backward_fn(g):
         g_every = np.zeros((positions, g.shape[1]))
         g_every[keep] = g
-        if _tracked(emb):
-            de = np.zeros_like(emb.data)
-            for j in range(width):
-                de[j:j + positions] += g_every @ kernels.data[j].T
-            accumulate_grad(emb, de)
-        if _tracked(kernels):
-            dk = np.empty_like(kernels.data)
-            for j in range(width):
-                dk[j] = emb.data[j:j + positions].T @ g_every
-            accumulate_grad(kernels, dk)
+        de = np.zeros_like(emb.data)
+        dk = np.empty_like(kernels.data)
+        for j in range(width):
+            de[j:j + positions] += g_every @ kernels.data[j].T
+            dk[j] = emb.data[j:j + positions].T @ g_every
+        accumulate_grad(emb, de)
+        accumulate_grad(kernels, dk)
 
     return register_op(out, (emb, kernels), backward_fn)
 
@@ -345,8 +343,6 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     out = Tensor(table.data[idx])
 
     def backward_fn(g):
-        if not _tracked(table):
-            return
         dt = np.zeros_like(table.data)
         np.add.at(dt, idx, g)
         accumulate_grad(table, dt)
@@ -368,8 +364,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         lo = 0
         for t, sh in zip(parts, shapes):
             hi = lo + sh[axis]
-            if _tracked(t):
-                accumulate_grad(t, g_rows[lo:hi].swapaxes(0, axis))
+            accumulate_grad(t, g_rows[lo:hi].swapaxes(0, axis))
             lo = hi
 
     return register_op(out, tuple(parts), backward_fn)
@@ -393,7 +388,6 @@ def scatter_rows(x: Tensor, rows: np.ndarray, shape: tuple[int, int]) -> Tensor:
     out = Tensor(out_data)
 
     def backward_fn(g):
-        if _tracked(x):
-            accumulate_grad(x, g.reshape(-1, width)[idx])
+        accumulate_grad(x, g.reshape(-1, width)[idx])
 
     return register_op(out, (x,), backward_fn)

@@ -9,7 +9,7 @@ import numpy as np
 
 from mmsets.data import ModalityInstance, Sample
 from mmsets.fusion import ModalitySpec
-from mmsets.tensor import Tensor, _tracked, accumulate_grad, register_op, sigmoid_values
+from mmsets.tensor import Tensor, accumulate_grad, register_op, sigmoid_values
 
 
 def central_diff(f, array: np.ndarray, h: float) -> np.ndarray:
@@ -89,10 +89,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward_fn(g):
-        if _tracked(a):
-            accumulate_grad(a, g * b.data)
-        if _tracked(b):
-            accumulate_grad(b, g * a.data)
+        accumulate_grad(a, g * b.data)
+        accumulate_grad(b, g * a.data)
 
     return register_op(out, (a, b), backward_fn)
 
@@ -102,8 +100,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(out_data)
 
     def backward_fn(g):
-        if _tracked(x):
-            accumulate_grad(x, g * out_data * (1.0 - out_data))
+        accumulate_grad(x, g * out_data * (1.0 - out_data))
 
     return register_op(out, (x,), backward_fn)
 
@@ -113,8 +110,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor([[x.data.sum()]])
 
     def backward_fn(g):
-        if _tracked(x):
-            accumulate_grad(x, np.full_like(x.data, g[0, 0]))
+        accumulate_grad(x, np.full_like(x.data, g[0, 0]))
 
     return register_op(out, (x,), backward_fn)
 
@@ -124,7 +120,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     out = Tensor(x.data * factor)
 
     def backward_fn(g):
-        if _tracked(x):
-            accumulate_grad(x, g * factor)
+        accumulate_grad(x, g * factor)
 
     return register_op(out, (x,), backward_fn)

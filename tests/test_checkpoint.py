@@ -106,8 +106,12 @@ def _concat_with_uneven_slots():
     (_concat_with_uneven_slots, _swap_slots, "slots"),
     (_fusion, lambda obj: {**obj, "specs": 0.5}, "specs must be a list of modality objects"),
     (_fusion, _first_param_a_string, r"parameter '.+' needs a list 'shape' and a string 'data'"),
+    (_fusion, lambda obj: {**obj, "params": 5}, "params must be an object"),
+    (_fusion, lambda obj: {**obj, "params": None}, "params must be an object"),
+    (_fusion, lambda obj: {**obj, "params": list(obj["params"])}, "params must be an object"),
 ], ids=["missing-field", "truncated-base64", "not-an-object", "dropout-out-of-range",
-        "no-kernel-widths", "concat-slots-swapped", "specs-a-float", "param-a-string"])
+        "no-kernel-widths", "concat-slots-swapped", "specs-a-float", "param-a-string",
+        "params-an-int", "params-null", "params-a-list"])
 def test_malformed_checkpoint_is_data_error(tmp_path, build, corrupt, match):
     path = tmp_path / "ckpt.json"
     save_checkpoint(build(), path)

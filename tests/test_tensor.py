@@ -68,6 +68,24 @@ class TestLinear:
             numeric = central_diff(value, p.data, h=1e-6)
             assert max_rel_err(p.grad, numeric) < 1e-6
 
+    def test_constant_input_takes_no_gradient(self):
+        rng = np.random.default_rng(2)
+        x = T.Tensor(rng.standard_normal((3, 4)))
+        w = T.parameter(rng.standard_normal((4, 2)))
+        b = T.parameter(rng.standard_normal((1, 2)))
+        mix = rng.standard_normal((3, 2))
+        with T.Tape():
+            loss = sum_all(mul(T.linear(x, w, b), T.Tensor(mix)))
+        T.backward(loss)
+        assert x.grad is None
+
+        def value():
+            return float(((x.data @ w.data + b.data) * mix).sum())
+
+        for p in (w, b):
+            numeric = central_diff(value, p.data, h=1e-6)
+            assert max_rel_err(p.grad, numeric) < 1e-6
+
 
 class TestElu:
     def test_boundary_and_passthrough(self):
@@ -241,6 +259,22 @@ class TestReduceOverSet:
             _, arg = T.reduce_over_set(tied, mode, [1] * 7)
             assert arg.tolist() == [[i, i] for i in range(7)]
 
+    def test_pooled_extremum_is_the_arg_rows_value_bit_for_bit(self):
+        # a tie of -0.0 and +0.0 compares equal; the pooled bit is the arg row's
+        rng = np.random.default_rng(34)
+        for mode, other in (("max", -1.0), ("min", 1.0)):
+            d = rng.choice([-0.0, 0.0, other], size=(12, 6))
+            for sizes in ([1, 3, 2, 4, 2], [3, 3, 3, 3]):  # ragged, equal sizes
+                out, arg = T.reduce_over_set(T.Tensor(d), mode, sizes)
+                assert out.data.tobytes() == d[arg, np.arange(6)].tobytes()
+        # one bit must not depend on the set's batch-mates
+        for mode, rows in (("max", [[-0.0], [0.0], [5.0]]), ("min", [[0.0], [-0.0], [-5.0]])):
+            x = T.Tensor(rows)
+            together, arg = T.reduce_over_set(x, mode, [2, 1])
+            alone, _ = T.reduce_over_set(T.Tensor(rows[:2]), mode, [2])
+            assert arg[0, 0] == 0
+            assert together.data[:1].tobytes() == alone.data.tobytes() == x.data[0].tobytes()
+
     def test_max_gradient_routing(self):
         x = T.parameter([[1.0, 3.0], [2.0, 1.0]])
         with T.Tape():
@@ -359,6 +393,22 @@ class TestConv1d:
             numeric = central_diff(value, p.data, h=1e-6)
             assert max_rel_err(p.grad, numeric) < 1e-6
 
+    def test_constant_kernels_take_no_gradient(self):
+        rng = np.random.default_rng(35)
+        emb = T.parameter(rng.standard_normal((5, 3)))
+        kernels = T.Tensor(rng.standard_normal((2, 3, 2)))
+        mix = rng.standard_normal((4, 2))
+        with T.Tape():
+            loss = sum_all(mul(T.conv1d_over_sequence(emb, kernels, [5]), T.Tensor(mix)))
+        T.backward(loss)
+        assert kernels.grad is None
+
+        def value():
+            return float(((emb.data[0:4] @ kernels.data[0]
+                           + emb.data[1:5] @ kernels.data[1]) * mix).sum())
+
+        numeric = central_diff(value, emb.data, h=1e-6)
+        assert max_rel_err(emb.grad, numeric) < 1e-6
 
     def test_joined_sequences_match_separate_convolutions(self):
         rng = np.random.default_rng(32)
@@ -449,6 +499,22 @@ class TestStructuralOps:
             for b, cut in zip(blocks, cuts):
                 np.testing.assert_array_equal(joined.data[cut], b.data)
                 np.testing.assert_array_equal(b.grad, up[cut])
+
+    def test_concat_constant_part_takes_no_gradient(self):
+        rng = np.random.default_rng(36)
+        param = T.parameter(rng.standard_normal((2, 3)))
+        const = T.Tensor(rng.standard_normal((2, 2)))
+        mix = rng.standard_normal((2, 5))
+        with T.Tape():
+            loss = sum_all(mul(T.concat([param, const], axis=1), T.Tensor(mix)))
+        T.backward(loss)
+        assert const.grad is None
+
+        def value():
+            return float((np.concatenate([param.data, const.data], axis=1) * mix).sum())
+
+        numeric = central_diff(value, param.data, h=1e-6)
+        assert max_rel_err(param.grad, numeric) < 1e-6
 
     def test_concat_rejects_mismatched_parts_and_bad_axis(self):
         with pytest.raises(ValueError, match=r"\(1, 2\).*\(1, 3\)"):
