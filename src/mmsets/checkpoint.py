@@ -99,5 +99,7 @@ def _restore(obj: dict):
         if arr.shape != p.data.shape:
             raise DataError(
                 f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter {name!r} holds a value that is not finite")
         p.data = np.ascontiguousarray(arr)
     return model, obj["config_hash"]

@@ -366,8 +366,12 @@ class _ModelCore:
         rows = T.concat([self.encoders[mid].encode(block)
                          for mid, block in zip(self.modality_ids, blocks) if block], axis=0)
         if rngs is not None:
-            uniforms = np.concatenate([rng.random((sum(map(len, g.values())), self.config.dim))
-                                       for g, rng in zip(groups, rngs)])
+            uniforms = np.empty((order.size, self.config.dim))
+            lo = 0
+            for g, rng in zip(groups, rngs):
+                hi = lo + sum(map(len, g.values()))
+                rng.random(out=uniforms[lo:hi])
+                lo = hi
             rows = T.dropout(rows, self.config.dropout_p, uniforms[order])
         return rows
 

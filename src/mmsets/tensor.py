@@ -21,6 +21,7 @@ import numpy as np
 from .errors import EmptySetError
 
 POOL_MODES = ("sum", "max", "min", "mean")
+WIDE_ROWS = 128  # max/min pooling of rows this wide takes one arg-reduction per set
 
 _LOCAL = threading.local()
 
@@ -179,14 +180,16 @@ def elu(x: Tensor) -> Tensor:
     """Elementwise x if x > 0 else exp(x)-1."""
     d = x.data
     neg = d <= 0.0
-    out_data = d.copy()
-    out_data[neg] = np.expm1(d[neg])
+    # expm1 over every entry, clipped so that none overflows, then x put back
+    # where x > 0 (or NaN): faster than a masked expm1, and the same bits
+    out_data = np.minimum(d, 1.0)
+    np.expm1(out_data, out=out_data)
+    np.copyto(out_data, d, where=~neg)
     out = Tensor(out_data)
 
     def backward_fn(g):
-        dx = g.copy()
-        dx[neg] *= out_data[neg] + 1.0  # exp(x) recovered from the output
-        accumulate_grad(x, dx)
+        # exp(x) recovered from the output
+        accumulate_grad(x, g * np.where(neg, out_data + 1.0, 1.0))
 
     return register_op(out, (x,), backward_fn)
 
@@ -258,11 +261,11 @@ def reduce_over_set(x: Tensor, mode: str, sizes: Sequence[int]
         out_data = np.add.reduceat(d, first, axis=0)
         if mode == "mean":
             out_data /= sizes[:, None]
-    elif smallest == sizes.max():
-        # sets of one size: one arg-reduction over the [B,S,D] view
+    elif sizes.size == 1 or d.shape[1] >= WIDE_ROWS:
+        # one arg-reduction per set: for wide rows it beats the ragged search below
         arg_reduce = np.argmax if mode == "max" else np.argmin
-        argidx = arg_reduce(d.reshape(first.size, smallest, d.shape[1]), axis=1)
-        argidx += first[:, None]
+        argidx = np.array([arg_reduce(d[lo:lo + n], axis=0) + lo
+                           for lo, n in zip(first.tolist(), sizes.tolist())])
     else:
         extremum = (np.maximum if mode == "max" else np.minimum).reduceat(d, first, axis=0)
         # the lowest row of each set that holds the extremum (or a NaN)

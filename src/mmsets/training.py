@@ -69,7 +69,8 @@ class AdamWState:
     """AdamW over one flat vector: ``theta`` holds every parameter in
     ``params`` order, and each parameter's ``data`` and ``grad`` become views
     of its run of ``theta`` and of the zeroed ``grad``. ``m`` and ``v`` match
-    them. Nothing may rebind a ``data`` or ``grad`` while the state is used."""
+    them, and ``scratch`` holds the step's two work vectors. Nothing may
+    rebind a ``data`` or ``grad`` while the state is used."""
 
     def __init__(self, params: dict[str, T.Tensor],
                  weight_decay: float = TrainConfig.weight_decay):
@@ -77,6 +78,7 @@ class AdamWState:
         self.ends = np.cumsum([p.data.size for p in params.values()])
         self.theta = np.concatenate([p.data.reshape(-1) for p in params.values()])
         self.grad, self.m, self.v = np.zeros((3, self.theta.size))
+        self.scratch = np.empty((2, self.theta.size))
         runs = zip(np.split(self.theta, self.ends[:-1]), np.split(self.grad, self.ends[:-1]))
         for p, (data, grad) in zip(params.values(), runs):
             p.data = data.reshape(p.data.shape)
@@ -99,11 +101,16 @@ def adamw_step(state: AdamWState, lr: float) -> None:
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
+    step, denom = state.scratch
     state.m *= BETA1
     state.v *= BETA2
-    state.m += (1.0 - BETA1) * state.grad
-    state.v += (1.0 - BETA2) * np.square(state.grad)
-    state.theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + EPS)
+    state.m += np.multiply(state.grad, 1.0 - BETA1, out=step)
+    state.v += np.multiply(np.square(state.grad, out=step), 1.0 - BETA2, out=step)
+    # theta -= lr * (m / c1) / (sqrt(v / c2) + EPS), in that float order
+    np.multiply(np.divide(state.m, c1, out=step), lr, out=step)
+    np.sqrt(np.divide(state.v, c2, out=denom), out=denom)
+    denom += EPS
+    state.theta -= np.divide(step, denom, out=step)
     state.theta *= 1.0 - lr * state.weight_decay
 
 

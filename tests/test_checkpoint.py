@@ -1,3 +1,4 @@
+import base64
 import json
 from dataclasses import replace
 
@@ -80,6 +81,16 @@ def _first_param_a_string(obj):
     return obj
 
 
+def _first_param_set_to(value):
+    def corrupt(obj):
+        entry = next(iter(obj["params"].values()))
+        data = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        data[-1] = value
+        entry["data"] = base64.b64encode(data.tobytes()).decode("ascii")
+        return obj
+    return corrupt
+
+
 def _swap_slots(obj):
     # the slot total, and with it every parameter shape, stays the same
     (a, na), (b, nb) = obj["slots"].items()
@@ -109,9 +120,11 @@ def _concat_with_uneven_slots():
     (_fusion, lambda obj: {**obj, "params": 5}, "params must be an object"),
     (_fusion, lambda obj: {**obj, "params": None}, "params must be an object"),
     (_fusion, lambda obj: {**obj, "params": list(obj["params"])}, "params must be an object"),
+    (_fusion, _first_param_set_to(np.nan), r"parameter '.+' holds a value that is not finite"),
+    (_fusion, _first_param_set_to(-np.inf), r"parameter '.+' holds a value that is not finite"),
 ], ids=["missing-field", "truncated-base64", "not-an-object", "dropout-out-of-range",
         "no-kernel-widths", "concat-slots-swapped", "specs-a-float", "param-a-string",
-        "params-an-int", "params-null", "params-a-list"])
+        "params-an-int", "params-null", "params-a-list", "param-nan", "param-inf"])
 def test_malformed_checkpoint_is_data_error(tmp_path, build, corrupt, match):
     path = tmp_path / "ckpt.json"
     save_checkpoint(build(), path)

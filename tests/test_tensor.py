@@ -120,6 +120,26 @@ class TestElu:
         neg = np.array([[True, True, False, True, True, False]])
         np.testing.assert_array_equal(x.grad, np.where(neg, g * (out.data + 1.0), g))
 
+    def test_bytes_match_the_masked_form(self):
+        # the reference is the masked form: expm1 and the scaling on x <= 0 only
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                   2.2e-308, -2.2e-308, 1e-20, -1e-20, 709.0, 710.0, -746.0, 1e308, -1e308]
+        d = np.concatenate([rng.standard_normal(100_000) * 5, special]).reshape(1, -1)
+        g = rng.standard_normal(d.shape)
+        neg = d <= 0.0
+        want = d.copy()
+        want[neg] = np.expm1(d[neg])
+        want_grad = g.copy()
+        want_grad[neg] *= want[neg] + 1.0
+        x = T.parameter(d)
+        with np.errstate(all="raise"):  # no overflow from entries that pass through
+            with T.Tape():
+                out = T.elu(x)
+            T.backward(out, g)
+        assert out.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
 
 class TestSigmoid:
     def test_zero_is_half(self):
@@ -186,6 +206,20 @@ class TestDropout:
         np.testing.assert_array_equal(given.data, x.data * (rows >= 0.5) / 0.5)
         with pytest.raises(ValueError, match="shape"):
             T.dropout(x, 0.5, uniforms=rows[:2])
+
+    def test_uniforms_drawn_into_a_block_match_a_fresh_draw(self):
+        # a training batch draws each sample's uniforms into its run of one
+        # block, after the sample's earlier draws from the same stream
+        block = np.empty((7, 5))
+        lo = 0
+        for seed, n in ((1, 3), (2, 0), (3, 4)):
+            rng = np.random.default_rng(seed)
+            rng.random(2)
+            rng.random(out=block[lo:lo + n])
+            fresh = np.random.default_rng(seed)
+            fresh.random(2)
+            assert block[lo:lo + n].tobytes() == fresh.random((n, 5)).tobytes()
+            lo += n
 
 
 # rows of x: sets [0,3), [3,4), [4,8) -- ragged, and a singleton among them
@@ -274,6 +308,30 @@ class TestReduceOverSet:
             alone, _ = T.reduce_over_set(T.Tensor(rows[:2]), mode, [2])
             assert arg[0, 0] == 0
             assert together.data[:1].tobytes() == alone.data.tobytes() == x.data[0].tobytes()
+
+    def test_wide_and_narrow_rows_match_the_per_set_oracle(self):
+        # rows of WIDE_ROWS columns or more take one arg-reduction per set;
+        # ties of +-0, NaN and +-inf must come out as on narrower rows
+        rng = np.random.default_rng(35)
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+        for width in (T.WIDE_ROWS - 1, T.WIDE_ROWS):
+            cols = np.arange(width)
+            d = rng.standard_normal((12, width))
+            d[:, ::2] = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(12, len(cols[::2])))
+            spots = rng.random(d.shape) < 0.05
+            d[spots] = rng.choice(special, size=int(spots.sum()))
+            for sizes in ([1, 3, 2, 4, 1, 1], [12]):  # ragged with 1-row sets, one set
+                for mode in ("max", "min"):
+                    x = T.parameter(d)
+                    g = rng.standard_normal((len(sizes), width))
+                    with T.Tape():
+                        out, arg = T.reduce_over_set(x, mode, sizes)
+                    T.backward(out, g)
+                    np.testing.assert_array_equal(arg, _segment_oracle(d, sizes, mode)[1])
+                    assert out.data.tobytes() == d[arg, cols].tobytes()
+                    routed = np.zeros_like(d)
+                    routed[arg, cols] = g
+                    assert x.grad.tobytes() == routed.tobytes()
 
     def test_max_gradient_routing(self):
         x = T.parameter([[1.0, 3.0], [2.0, 1.0]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ class TestAdamW:
             adamw_step(state, lr)
         for n, p in params.items():
             assert p.data.tobytes() == ref[n].tobytes(), n
+
+    def test_step_allocates_no_full_length_temporary(self):
+        # the isfinite mask alone is theta.nbytes / 8; a float temporary is theta.nbytes
+        rng = np.random.default_rng(6)
+        state = AdamWState({"w": T.parameter(rng.standard_normal((50_000, 1)))})
+        state.grad[:] = rng.standard_normal(state.grad.size)
+        tracemalloc.start()
+        try:
+            adamw_step(state, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.theta.nbytes / 4
 
     def test_parameters_and_gradients_are_views_of_the_flat_vectors(self):
         params = {"w": T.parameter(np.arange(6.0).reshape(3, 2)),
