@@ -296,7 +296,9 @@ class _ModelCore:
     per modality, the predictor, their parameters and the forward pass. A
     subclass sets up its combine step before calling this constructor, and
     defines ``_group`` (a sample's payloads per modality), ``_combine`` (the
-    encoded rows to the predictor's input) and ``combined_dim``, its width."""
+    encoded rows, sample after sample, to the predictor's input) and
+    ``combined_dim``, its width. A training batch drops out those
+    sample-ordered rows, each sample drawing its run of uniforms as one block."""
 
     def __init__(self, specs, num_classes: int, seed: int, config: dict):
         ids = [s.modality_id for s in specs]
@@ -330,50 +332,48 @@ class _ModelCore:
         """Group, encode, combine and predict: (logits [B,C], owners).
 
         ``rngs``, one stream per sample, makes a training batch: each sample
-        draws its subsampling and then its dropout from its own stream.
-        Without them a stream derived from each sample id subsamples, so
-        inference repeats bit for bit. A sample's logits do not depend on its
-        batch beyond floating-point rounding. ``owners[b, d]`` indexes in
-        ``modality_ids`` the modality that won pooled dimension d of sample b
-        under max/min pooling; ``owners`` is None for sum/mean and ConcatModel.
+        draws its subsampling and then the dropout uniforms of its own run of
+        rows from its own stream. Without them a stream derived from each
+        sample id subsamples, so inference repeats bit for bit. A sample's
+        logits do not depend on its batch beyond floating-point rounding.
+        ``owners[b, d]`` indexes in ``modality_ids`` the modality that won
+        pooled dimension d of sample b under max/min pooling; ``owners`` is
+        None for sum/mean and ConcatModel.
         """
         if rngs is not None and len(rngs) != len(samples):
             raise ValueError(f"got {len(rngs)} rngs for {len(samples)} samples")
         groups = [self._group(s, None if rngs is None else rngs[b])
                   for b, s in enumerate(samples)]
+        sizes = [sum(map(len, group.values())) for group in groups]
         # owner[i] indexes in modality_ids the modality of element i, the
-        # elements numbered sample after sample; order lists them modality
-        # after modality, each modality's in that numbering
+        # elements numbered sample after sample
         owner = np.array([i for group in groups for i, got in enumerate(group.values())
                           for _ in got], dtype=np.intp)
-        order = np.argsort(owner, kind="stable")
-        rows = self._encode(groups, rngs, order)
-        x, owners = self._combine(groups, rows, owner, order)
+        x = self._encode(groups, owner)
+        if rngs is not None:
+            uniforms = np.empty(x.shape)
+            ends = np.cumsum(sizes).tolist()
+            for rng, lo, hi in zip(rngs, [0, *ends], ends):
+                rng.random(out=uniforms[lo:hi])
+            x = T.dropout(x, self.config.dropout_p, uniforms)
+        x, owners = self._combine(groups, sizes, x, owner)
         return self.predictor(x), owners
 
-    def _encode(self, groups, rngs, order):
-        """Encode every element of a batch, one block per modality: the rows
-        in ``order``, or None when the batch has no elements.
+    def _encode(self, groups, owner):
+        """Encode every element of a batch: [N, D] rows in element order.
 
         ``groups[b]`` maps each modality id, in id order, to sample b's
-        payloads, as ``_group`` returns them. In a training batch dropout then
-        covers all the rows at once: each sample draws its rows' uniforms from
-        its own stream, in its element order, as one block.
+        payloads, as ``_group`` returns them; ``owner`` holds each element's
+        modality. The encoders run one block per modality, and one scatter
+        puts their rows back in element order.
         """
-        if order.size == 0:
-            return None
+        if owner.size == 0:
+            return T.Tensor(np.zeros((0, self.config.dim)))
         blocks = [[p for group in groups for p in group[mid]] for mid in self.modality_ids]
         rows = T.concat([self.encoders[mid].encode(block)
                          for mid, block in zip(self.modality_ids, blocks) if block], axis=0)
-        if rngs is not None:
-            uniforms = np.empty((order.size, self.config.dim))
-            lo = 0
-            for g, rng in zip(groups, rngs):
-                hi = lo + sum(map(len, g.values()))
-                rng.random(out=uniforms[lo:hi])
-                lo = hi
-            rows = T.dropout(rows, self.config.dropout_p, uniforms[order])
-        return rows
+        order = np.argsort(owner, kind="stable")
+        return T.scatter_rows(rows, order, (owner.size, self.config.dim))
 
     def named_parameters(self) -> dict[str, T.Tensor]:
         params = {}
@@ -417,12 +417,10 @@ class FusionModel(_ModelCore):
     def _group(self, sample, rng):
         return build_set(sample, self.specs, rng)
 
-    def _combine(self, groups, rows, owner, order):
+    def _combine(self, groups, sizes, x, owner):
         """Pool each sample's rows only: ([B,D], the [B,D] owner matrix under
         max/min pooling, None under sum and mean)."""
-        x = T.scatter_rows(rows, order, (order.size, self.config.dim))
-        pooled, argidx = T.reduce_over_set(x, self.pool,
-                                           [sum(map(len, g.values())) for g in groups])
+        pooled, argidx = T.reduce_over_set(x, self.pool, sizes)
         return pooled, None if argidx is None else owner[argidx]
 
 
@@ -452,7 +450,7 @@ class ConcatModel(_ModelCore):
             del got[self.slots[mid]:]
         return group
 
-    def _combine(self, groups, rows, owner, order):
+    def _combine(self, groups, sizes, x, owner):
         """Row b of the [B, sum(slots)*D] result is sample b's slot vector."""
         n_slots = sum(self.slots.values())
         slot_rows = []
@@ -462,11 +460,7 @@ class ConcatModel(_ModelCore):
                 slot_rows.extend(range(first, first + len(got)))
                 first += self.slots[mid]
         shape = (len(groups), n_slots * self.config.dim)
-        if rows is None:
-            x = T.Tensor(np.zeros(shape))
-        else:
-            x = T.scatter_rows(rows, np.array(slot_rows, dtype=np.intp)[order], shape)
-        return x, None
+        return T.scatter_rows(x, np.array(slot_rows, dtype=np.intp), shape), None
 
 
 def aggregate_importance(records) -> dict[str, float]:

@@ -69,8 +69,9 @@ class AdamWState:
     """AdamW over one flat vector: ``theta`` holds every parameter in
     ``params`` order, and each parameter's ``data`` and ``grad`` become views
     of its run of ``theta`` and of the zeroed ``grad``. ``m`` and ``v`` match
-    them, and ``scratch`` holds the step's two work vectors. Nothing may
-    rebind a ``data`` or ``grad`` while the state is used."""
+    them. ``scratch`` holds four vectors of that length: a step's new ``m``,
+    ``v`` and ``theta`` and its denominator. Nothing may rebind a ``data`` or
+    ``grad`` while the state is used."""
 
     def __init__(self, params: dict[str, T.Tensor],
                  weight_decay: float = TrainConfig.weight_decay):
@@ -78,7 +79,7 @@ class AdamWState:
         self.ends = np.cumsum([p.data.size for p in params.values()])
         self.theta = np.concatenate([p.data.reshape(-1) for p in params.values()])
         self.grad, self.m, self.v = np.zeros((3, self.theta.size))
-        self.scratch = np.empty((2, self.theta.size))
+        self.scratch = list(np.empty((4, self.theta.size)))
         runs = zip(np.split(self.theta, self.ends[:-1]), np.split(self.grad, self.ends[:-1]))
         for p, (data, grad) in zip(params.values(), runs):
             p.data = data.reshape(p.data.shape)
@@ -86,32 +87,51 @@ class AdamWState:
         self.t = 0
         self.weight_decay = weight_decay
 
+    def first_nonfinite(self, values: np.ndarray) -> Optional[str]:
+        """The name of the parameter whose run of ``values``, a vector laid
+        out like ``theta``, holds the first non-finite entry; None if none."""
+        finite = np.isfinite(values)
+        if finite.all():
+            return None
+        return self.names[np.searchsorted(self.ends, np.argmin(finite), side="right")]
+
 
 def adamw_step(state: AdamWState, lr: float) -> None:
     """One AdamW update of ``state.theta``: the bias-corrected Adam step on
     ``state.grad``, then the decoupled decay theta *= 1 - lr*wd, so a
-    zero-gradient step is a pure shrink. A non-finite gradient raises
-    NumericError naming its parameter before anything is updated."""
+    zero-gradient step is a pure shrink. The new moments and parameters are
+    computed aside and committed only when all are finite. A non-finite
+    gradient, or a step that would make a moment or a parameter non-finite,
+    raises NumericError naming the parameter, and leaves the state as it
+    was."""
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    finite = np.isfinite(state.grad)
-    if not finite.all():
-        first = np.searchsorted(state.ends, np.argmin(finite), side="right")
-        raise NumericError(f"non-finite gradient for parameter {state.names[first]!r}")
-    state.t += 1
-    c1 = 1.0 - BETA1 ** state.t
-    c2 = 1.0 - BETA2 ** state.t
-    step, denom = state.scratch
-    state.m *= BETA1
-    state.v *= BETA2
-    state.m += np.multiply(state.grad, 1.0 - BETA1, out=step)
-    state.v += np.multiply(np.square(state.grad, out=step), 1.0 - BETA2, out=step)
-    # theta -= lr * (m / c1) / (sqrt(v / c2) + EPS), in that float order
-    np.multiply(np.divide(state.m, c1, out=step), lr, out=step)
-    np.sqrt(np.divide(state.v, c2, out=denom), out=denom)
-    denom += EPS
-    state.theta -= np.divide(step, denom, out=step)
-    state.theta *= 1.0 - lr * state.weight_decay
+    name = state.first_nonfinite(state.grad)
+    if name is not None:
+        raise NumericError(f"non-finite gradient for parameter {name!r}")
+    t = state.t + 1
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
+    m, v, theta, denom = state.scratch
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(state.m, BETA1, out=m)
+        m += np.multiply(state.grad, 1.0 - BETA1, out=theta)
+        np.multiply(state.v, BETA2, out=v)
+        v += np.multiply(np.square(state.grad, out=theta), 1.0 - BETA2, out=theta)
+        # theta - lr * (m / c1) / (sqrt(v / c2) + EPS), in that float order
+        np.multiply(np.divide(m, c1, out=theta), lr, out=theta)
+        np.sqrt(np.divide(v, c2, out=denom), out=denom)
+        denom += EPS
+        np.subtract(state.theta, np.divide(theta, denom, out=theta), out=theta)
+        theta *= 1.0 - lr * state.weight_decay
+    for new in (theta, v):  # a non-finite m makes theta non-finite too
+        name = state.first_nonfinite(new)
+        if name is not None:
+            raise NumericError(f"AdamW step {t} would make parameter {name!r} non-finite")
+    state.scratch[:2] = state.m, state.v
+    state.m, state.v = m, v
+    state.theta[...] = theta  # the parameters are views of theta: copy, never rebind
+    state.t = t
 
 
 def weighted_sigmoid_ce(logits: T.Tensor, targets: np.ndarray, weights: np.ndarray) -> T.Tensor:

@@ -367,6 +367,33 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
+def _payload_set_to_1e308(bad, data):
+    """A dataset copy whose first sample's first payload holds 1e308."""
+    lines = (data / "samples.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first["instances"][0]["payload"][0] = 1e308
+    lines[0] = json.dumps(first)
+    _dataset_copy(**{"samples.jsonl": ("\n".join(lines) + "\n").encode()})(bad, data)
+
+
+@pytest.mark.parametrize("config,setup", [
+    ({"peak_lr": 1e300, "epochs": 3, "warmup_epochs": 1}, None),
+    ({"epochs": 1, "warmup_epochs": 0}, _payload_set_to_1e308),
+], ids=["peak-lr-overflows-the-step", "payload-1e308"])
+def test_numeric_failure_is_one_line_without_warnings(tmp_path, capsys, config, setup):
+    data = gen_dataset(tmp_path)
+    if setup is not None:
+        setup(tmp_path / "bad", data)
+        data = tmp_path / "bad"
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["train", "--data", str(data), "--config", str(cfg),
+                 "--out", str(tmp_path / "runs")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric error: "), err
+
+
 class TestFoldSizes:
     def test_327_samples_kfold_5_fold_sizes(self, tmp_path):
         out = tmp_path / "data"

@@ -410,6 +410,44 @@ def test_eval_leaves_dropout_out(monkeypatch, model_class):
         model.forward_batch(samples, [np.random.default_rng(b) for b in range(len(samples))])
 
 
+@pytest.mark.parametrize("model_class", [FusionModel, ConcatModel])
+def test_each_sample_drops_out_its_own_run_of_rows(monkeypatch, model_class):
+    """Dropout sees the encoded rows sample after sample, and sample b's run
+    of uniforms is a fresh draw from its stream once its subsampling is done."""
+    specs = mixed_specs(max_instances=3)
+    model = model_class(specs, num_classes=3, dim=8, embed_dim=4, num_filters=3, seed=2)
+    samples = batch_of_samples(specs, np.random.default_rng(44))
+    if model_class is ConcatModel:
+        samples.insert(2, Sample("none", [ModalityInstance("rogue", np.ones(1))],
+                                 np.array([1, 0, 0])))  # no rows, no uniforms
+    seen = []
+    real_dropout = T.dropout
+
+    def spy(x, p, uniforms):
+        seen.append((x.data.copy(), p, uniforms.copy()))
+        return real_dropout(x, p, uniforms)
+
+    monkeypatch.setattr(T, "dropout", spy)
+    model.forward_batch(samples, [np.random.default_rng(200 + b) for b in range(len(samples))])
+    ((rows, p, uniforms),) = seen
+    assert p == model.config.dropout_p
+    groups, runs = [], []
+    for b, sample in enumerate(samples):
+        rng = np.random.default_rng(200 + b)
+        groups.append(model._group(sample, rng))  # the subsampling draws come first
+        runs.append(rng.random((sum(map(len, groups[-1].values())), model.config.dim)))
+    bounds = np.cumsum([0] + [len(run) for run in runs])
+    for b, run in enumerate(runs):
+        assert uniforms[bounds[b]:bounds[b + 1]].tobytes() == run.tobytes(), b
+    assert len(uniforms) == bounds[-1]
+    # each modality encoded as one block, as the model does, then dealt out
+    # to the samples in turn
+    blocks = {mid: iter(model.encoders[mid].encode([q for g in groups for q in g[mid]]).data)
+              for mid in model.modality_ids if any(g[mid] for g in groups)}
+    expected = [next(blocks[mid]) for g in groups for mid, got in g.items() for _ in got]
+    assert rows.tobytes() == np.array(expected).tobytes()
+
+
 class TestConcatBaseline:
     def test_zero_blocks_for_missing_modalities(self):
         specs = [ModalitySpec("a", "dense", input_dim=3, max_instances=1),

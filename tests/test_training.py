@@ -158,6 +158,40 @@ class TestAdamW:
             tracemalloc.stop()
         assert peak < state.theta.nbytes / 4
 
+    @pytest.mark.parametrize("grad_a,grad_b,lr,named", [
+        (1.0, 1.0, 1e300, "'a'"),  # theta overflows: the decay factor is -1e298
+        (0.5, 1e200, 0.01, "'b'"),  # only v overflows: g * g is inf, theta stays finite
+    ], ids=["theta-overflows", "v-overflows"])
+    def test_nonfinite_update_names_parameter_and_step_and_updates_nothing(
+            self, grad_a, grad_b, lr, named):
+        def fresh():
+            params = {"a": T.parameter([[1.0, -2.0]]), "b": T.parameter([[3.0]])}
+            return params, AdamWState(params, weight_decay=0.01)
+
+        def step(state, grads, lr):
+            state.grad[:] = grads
+            adamw_step(state, lr)
+
+        params, state = fresh()
+        _, clean = fresh()
+        for s in (state, clean):
+            step(s, [0.5, -0.25, 2.0], 0.01)
+        saved = [x.copy() for x in (state.theta, state.m, state.v)]
+        # pytest turns any RuntimeWarning into an error, so none is emitted
+        with pytest.raises(NumericError, match=f"step 2 would make parameter {named}"):
+            step(state, [grad_a, grad_a, grad_b], lr)
+        assert state.t == 1
+        for now, before in zip((state.theta, state.m, state.v), saved):
+            assert now.tobytes() == before.tobytes()
+        assert np.shares_memory(params["a"].data, state.theta)
+        # the failed step leaves nothing behind: later steps match a clean state's bits
+        for s in (state, clean):
+            step(s, [0.1, 0.2, -0.3], 0.02)
+            step(s, [-0.4, 0.0, 0.5], 0.01)
+        for now, want in zip((state.theta, state.m, state.v), (clean.theta, clean.m, clean.v)):
+            assert now.tobytes() == want.tobytes()
+        assert params["a"].data.tobytes() == clean.theta[:2].tobytes()
+
     def test_parameters_and_gradients_are_views_of_the_flat_vectors(self):
         params = {"w": T.parameter(np.arange(6.0).reshape(3, 2)),
                   "b": T.parameter([[7.0, 8.0]])}
