@@ -76,12 +76,16 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _run_dir(resolved: dict, out) -> Path:
+def _run_dir(resolved: dict, out, outputs=()) -> Path:
+    """The run directory, holding the resolved config and none of the
+    ``outputs`` an earlier run left there, so a failed run leaves none."""
     run_dir = Path(out) / config_hash(resolved)
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
+        for name in outputs:
+            (run_dir / name).unlink(missing_ok=True)
     except OSError as exc:
-        raise ConfigError(f"{run_dir}: cannot create the run directory: {exc.strerror}")
+        raise ConfigError(f"{run_dir}: cannot set up the run directory: {exc.strerror}")
     (run_dir / "resolved_config.json").write_text(
         json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     return run_dir
@@ -198,7 +202,7 @@ def cmd_train(args) -> int:
     manifest, samples, resolved, build_model, train_config = _prepare(args, {})
     model = build_model(resolved["seed"])
     _check_sets_nonempty(model, samples)
-    run_dir = _run_dir(resolved, args.out)
+    run_dir = _run_dir(resolved, args.out, ["checkpoint.json"])
     fh, write = _log_writer(run_dir / "train_log.jsonl")
     try:
         train(model, samples, train_config, task=manifest.task, on_epoch=write)
@@ -230,7 +234,8 @@ def cmd_eval(args) -> int:
     if resolved["importance"] and pool not in ("max", "min"):
         raise ConfigError(f"--importance needs max or min pooling, got {pool!r}")
 
-    run_dir = _run_dir(resolved, args.out)
+    run_dir = _run_dir(resolved, args.out,
+                       ["report.json", "fim.csv", "fim.json", "importance_records.jsonl"])
     if k:
         report, records = run_kfold(samples, manifest.task,
                                     lambda fold: build_model(resolved["seed"] + 1000 * fold),

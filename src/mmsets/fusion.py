@@ -99,8 +99,9 @@ class ModelConfig:
             object.__setattr__(self, name, tuple(widths))
             for i, width in enumerate(widths):
                 check_int(f"{name}[{i}]", width)
-        if not self.kernel_widths:
-            raise ValueError("kernel_widths must hold at least one width")
+        if not self.kernel_widths or len(set(self.kernel_widths)) != len(self.kernel_widths):
+            raise ValueError(f"kernel_widths must hold distinct widths, at least one, "
+                             f"got {list(self.kernel_widths)}")
         for name in ("dim", "embed_dim", "num_filters"):
             check_int(name, getattr(self, name))
         check_real("dropout_p", self.dropout_p, 0.0, 1.0)
@@ -175,12 +176,13 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
 
 
 class DenseEncoder:
-    """Single FC layer with ELU: a block of payloads [n,M] -> [n,D]."""
+    """Single FC layer with ELU: a block of payloads [n,M] -> [n,D]. ``params``
+    holds ``weight`` and ``bias``."""
 
     def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
         self.spec = spec
-        self.weight = T.parameter(_uniform_init(rng, (spec.input_dim, config.dim)))
-        self.bias = T.parameter(np.zeros((1, config.dim)))
+        self.params = {"weight": T.parameter(_uniform_init(rng, (spec.input_dim, config.dim))),
+                       "bias": T.parameter(np.zeros((1, config.dim)))}
 
     def encode(self, payloads) -> T.Tensor:
         """Encode a list of n payloads, one row each."""
@@ -194,10 +196,7 @@ class DenseEncoder:
                 f"modality {self.spec.modality_id!r} expects vectors of length "
                 f"{self.spec.input_dim}, got shape {shapes}"
             )
-        return T.elu(T.linear(T.Tensor(x), self.weight, self.bias))
-
-    def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
+        return T.elu(T.linear(T.Tensor(x), self.params["weight"], self.params["bias"]))
 
 
 class SequenceEncoder:
@@ -208,21 +207,21 @@ class SequenceEncoder:
     so the convolution is always defined. Index 0 is also a real token, so
     padding aliases it (ROADMAP item 4, still open). A block of
     sequences is encoded at once: they are joined end to end, and each
-    one's max-over-time covers only the windows inside it.
+    one's max-over-time covers only the windows inside it. ``params`` holds
+    ``embedding``, ``conv<w>`` per kernel width, ``projection`` and ``bias``.
     """
 
     def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
         self.spec = spec
-        self.kernel_widths = config.kernel_widths
-        self.embedding = T.parameter(_uniform_init(rng, (spec.vocab_size, config.embed_dim)))
-        self.kernels = {
-            w: T.parameter(_uniform_init(rng, (w, config.embed_dim, config.num_filters)))
-            for w in self.kernel_widths
-        }
-        self.projection = T.parameter(
-            _uniform_init(rng, (len(self.kernel_widths) * config.num_filters, config.dim))
-        )
-        self.bias = T.parameter(np.zeros((1, config.dim)))
+        self.kernel_widths = widths = config.kernel_widths
+        self.params = {"embedding": T.parameter(
+            _uniform_init(rng, (spec.vocab_size, config.embed_dim)))}
+        for w in widths:
+            self.params[f"conv{w}"] = T.parameter(
+                _uniform_init(rng, (w, config.embed_dim, config.num_filters)))
+        self.params["projection"] = T.parameter(
+            _uniform_init(rng, (len(widths) * config.num_filters, config.dim)))
+        self.params["bias"] = T.parameter(np.zeros((1, config.dim)))
 
     def encode(self, payloads) -> T.Tensor:
         """Encode a list of n sequences, one row each."""
@@ -245,50 +244,36 @@ class SequenceEncoder:
                 f"[0, {self.spec.vocab_size})"
             )
         lengths = [idx.size for idx in padded]
-        emb = T.embedding_lookup(self.embedding, joined)
+        params = self.params
+        emb = T.embedding_lookup(params["embedding"], joined)
         pooled = []
         for w in self.kernel_widths:
-            conv = T.conv1d_over_sequence(emb, self.kernels[w], lengths)
+            conv = T.conv1d_over_sequence(emb, params[f"conv{w}"], lengths)
             # each sequence's windows form one set for the max-over-time
             best, _ = T.reduce_over_set(conv, "max", [n - w + 1 for n in lengths])
             pooled.append(best)
-        return T.elu(T.linear(T.concat(pooled, axis=1), self.projection, self.bias))
-
-    def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
-        params = {f"{prefix}.embedding": self.embedding}
-        for w in self.kernel_widths:
-            params[f"{prefix}.conv{w}"] = self.kernels[w]
-        params[f"{prefix}.projection"] = self.projection
-        params[f"{prefix}.bias"] = self.bias
-        return params
+        return T.elu(T.linear(T.concat(pooled, axis=1), params["projection"], params["bias"]))
 
 
 class Mlp:
-    """Plain MLP with ELU hidden activations and a linear output layer."""
+    """Plain MLP with ELU hidden activations and a linear output layer.
+    ``params`` holds ``<i>.weight`` and ``<i>.bias`` for layer i."""
 
     def __init__(self, sizes, rng, final_bias: np.ndarray | None = None):
-        self.weights = []
-        self.biases = []
+        self.depth = len(sizes) - 1
+        self.params = {}
         for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
-            self.weights.append(T.parameter(_uniform_init(rng, (a, b))))
-            last = i == len(sizes) - 2
+            last = i == self.depth - 1
             bias = final_bias if (last and final_bias is not None) else np.zeros((1, b))
-            self.biases.append(T.parameter(np.array(bias, dtype=np.float64)))
+            self.params[f"{i}.weight"] = T.parameter(_uniform_init(rng, (a, b)))
+            self.params[f"{i}.bias"] = T.parameter(np.array(bias, dtype=np.float64))
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = T.linear(x, w, b)
-            if i != last:
+        for i in range(self.depth):
+            x = T.linear(x, self.params[f"{i}.weight"], self.params[f"{i}.bias"])
+            if i != self.depth - 1:
                 x = T.elu(x)
         return x
-
-    def named_parameters(self, prefix: str) -> dict[str, T.Tensor]:
-        params = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            params[f"{prefix}.{i}.weight"] = w
-            params[f"{prefix}.{i}.bias"] = b
-        return params
 
 
 class _ModelCore:
@@ -376,11 +361,12 @@ class _ModelCore:
         return T.scatter_rows(rows, order, (owner.size, self.config.dim))
 
     def named_parameters(self) -> dict[str, T.Tensor]:
-        params = {}
-        for mid in self.modality_ids:
-            params.update(self.encoders[mid].named_parameters(f"encoder.{mid}"))
-        params.update(self.predictor.named_parameters("predictor"))
-        return params
+        """Every parameter by its checkpoint name: the encoders' in modality-id
+        order, then the predictor's."""
+        layers = [*((f"encoder.{mid}", self.encoders[mid]) for mid in self.modality_ids),
+                  ("predictor", self.predictor)]
+        return {f"{prefix}.{name}": p for prefix, layer in layers
+                for name, p in layer.params.items()}
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.named_parameters().values())

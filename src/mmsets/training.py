@@ -106,9 +106,6 @@ def adamw_step(state: AdamWState, lr: float) -> None:
     was."""
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    name = state.first_nonfinite(state.grad)
-    if name is not None:
-        raise NumericError(f"non-finite gradient for parameter {name!r}")
     t = state.t + 1
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
@@ -124,7 +121,7 @@ def adamw_step(state: AdamWState, lr: float) -> None:
         denom += EPS
         np.subtract(state.theta, np.divide(theta, denom, out=theta), out=theta)
         theta *= 1.0 - lr * state.weight_decay
-    for new in (theta, v):  # a non-finite m makes theta non-finite too
+    for new in (theta, v):  # a non-finite grad or m makes theta non-finite, even at lr 0
         name = state.first_nonfinite(new)
         if name is not None:
             raise NumericError(f"AdamW step {t} would make parameter {name!r} non-finite")

@@ -114,6 +114,7 @@ def _concat_with_uneven_slots():
     (_fusion, lambda obj: [1, 2], "JSON object"),
     (_fusion, lambda obj: {**obj, "dropout_p": 1.5}, "dropout_p"),
     (_fusion, lambda obj: {**obj, "kernel_widths": []}, "kernel_widths"),
+    (_fusion, lambda obj: {**obj, "kernel_widths": [2, 2]}, "kernel_widths"),
     (_concat_with_uneven_slots, _swap_slots, "slots"),
     (_fusion, lambda obj: {**obj, "specs": 0.5}, "specs must be a list of modality objects"),
     (_fusion, _first_param_a_string, r"parameter '.+' needs a list 'shape' and a string 'data'"),
@@ -123,7 +124,7 @@ def _concat_with_uneven_slots():
     (_fusion, _first_param_set_to(np.nan), r"parameter '.+' holds a value that is not finite"),
     (_fusion, _first_param_set_to(-np.inf), r"parameter '.+' holds a value that is not finite"),
 ], ids=["missing-field", "truncated-base64", "not-an-object", "dropout-out-of-range",
-        "no-kernel-widths", "concat-slots-swapped", "specs-a-float", "param-a-string",
+        "no-kernel-widths", "repeated-kernel-widths", "concat-slots-swapped", "specs-a-float", "param-a-string",
         "params-an-int", "params-null", "params-a-list", "param-nan", "param-inf"])
 def test_malformed_checkpoint_is_data_error(tmp_path, build, corrupt, match):
     path = tmp_path / "ckpt.json"

@@ -394,6 +394,25 @@ def test_numeric_failure_is_one_line_without_warnings(tmp_path, capsys, config, 
     assert err.count("\n") == 1 and err.startswith("numeric error: "), err
 
 
+@pytest.mark.parametrize("flags,outputs", [
+    (["train"], ["checkpoint.json"]),
+    (["eval", "--kfold", "2", "--importance"],
+     ["report.json", "fim.csv", "fim.json", "importance_records.jsonl"]),
+], ids=["train", "eval"])
+def test_failed_rerun_keeps_no_earlier_outputs(tmp_path, flags, outputs):
+    # the run directory is keyed by the data path, not by the data
+    data = gen_dataset(tmp_path)
+    argv = [*flags, "--data", str(data), "--out", str(tmp_path / "runs"),
+            "--epochs", "1", "--warmup-epochs", "0"]
+    assert main(argv) == 0
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    assert all((run_dir / name).exists() for name in outputs)
+    _payload_set_to_1e308(tmp_path / "bad", data)
+    (data / "samples.jsonl").write_bytes((tmp_path / "bad" / "samples.jsonl").read_bytes())
+    assert main(argv) == 3
+    assert not any((run_dir / name).exists() for name in outputs)
+
+
 class TestFoldSizes:
     def test_327_samples_kfold_5_fold_sizes(self, tmp_path):
         out = tmp_path / "data"
@@ -428,6 +447,7 @@ class TestFoldSizes:
     ("train", {"class_prior": 1.5}, [], "class_prior"),
     ("train", {"peak_lr": 0.0}, [], "peak_lr"),
     ("train", {"kernel_widths": []}, [], "kernel_widths"),
+    ("train", {"kernel_widths": [2, 2]}, [], "kernel_widths"),
     ("eval", {}, ["--kfold", "1"], "kfold"),
     ("eval", {}, ["--kfold", "100"], "kfold"),
     ("eval", {"importance": "no"}, ["--kfold", "2"], "importance"),
@@ -436,8 +456,8 @@ class TestFoldSizes:
     ("train", {"modalities": [["m0"]]}, [], "modalities"),
     ("train", {"modalities": [{}]}, [], "modalities"),
 ], ids=["dim-str", "dim-zero", "hidden-zero", "dropout", "class-prior", "peak-lr",
-        "no-kernel-widths", "kfold-1", "kfold-over-samples", "importance-str",
-        "feature-dims-float", "missing-rates-str", "modalities-nested-list",
+        "no-kernel-widths", "repeated-kernel-widths", "kfold-1", "kfold-over-samples",
+        "importance-str", "feature-dims-float", "missing-rates-str", "modalities-nested-list",
         "modalities-object"])
 def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, config,
                                                  flags, named):

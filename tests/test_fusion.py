@@ -108,8 +108,8 @@ class TestEncoders:
         model = FusionModel([ModalitySpec("img", "dense", input_dim=6)],
                             num_classes=2, dim=8)
         enc = model.encoders["img"]
-        enc.weight.data[:] = 0.0
-        enc.bias.data[:] = 0.0
+        enc.params["weight"].data[:] = 0.0
+        enc.params["bias"].data[:] = 0.0
         out = enc.encode([np.arange(6.0), np.ones(6)])
         assert np.all(out.data == 0.0)
         assert out.data.shape == (2, 8)
@@ -556,3 +556,20 @@ def test_invalid_pool_rejected_on_build_and_reassign():
     model = FusionModel([spec], num_classes=2)
     with pytest.raises(ValueError, match="pool"):
         model.pool = "median"
+
+
+@pytest.mark.parametrize("model_class,combined_dim", [(FusionModel, 8), (ConcatModel, 160)])
+def test_parameter_names_order_and_shapes(model_class, combined_dim):
+    # FORMATS.md's names, encoders in modality-id order, then the predictor:
+    # the order AdamWState packs the parameters in and first_nonfinite reports
+    model = model_class(mixed_specs()[::-1], num_classes=2, dim=8, embed_dim=4,
+                        num_filters=3, kernel_widths=(3, 2), predictor_hidden=(5, 4))
+    assert [(name, p.data.shape) for name, p in model.named_parameters().items()] == [
+        ("encoder.img.weight", (6, 8)), ("encoder.img.bias", (1, 8)),
+        ("encoder.obj.embedding", (12, 4)), ("encoder.obj.conv3", (3, 4, 3)),
+        ("encoder.obj.conv2", (2, 4, 3)), ("encoder.obj.projection", (6, 8)),
+        ("encoder.obj.bias", (1, 8)),
+        ("predictor.0.weight", (combined_dim, 5)), ("predictor.0.bias", (1, 5)),
+        ("predictor.1.weight", (5, 4)), ("predictor.1.bias", (1, 4)),
+        ("predictor.2.weight", (4, 2)), ("predictor.2.bias", (1, 2)),
+    ]
