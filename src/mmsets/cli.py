@@ -1,10 +1,10 @@
 """Command-line entry points: generate data, train, evaluate.
 
 Configuration precedence is flags > config file > defaults, with the env
-var MMSETS_SEED as a seed fallback. Every run writes its fully resolved
-config next to its artifacts inside an output directory named by the config
-hash, so identical runs land in the same place with identical bytes (only
-the log header carries a timestamp).
+var MMSETS_SEED as a seed fallback. Every run clears an output directory
+named by the config hash, writes its artifacts there and then, last, its
+fully resolved config, so identical runs land in the same place with
+identical bytes (only the log header carries a timestamp).
 
 Exit codes: 0 success, 1 usage/config error, 2 data validation error,
 3 numeric runtime failure.
@@ -17,8 +17,10 @@ import hashlib
 import inspect
 import json
 import os
+import shutil
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticConfig, generate_synthetic, load_dataset_dir, save_dataset
 from .errors import ConfigError, DataError, NumericError, read_json_object
 from .evaluate import evaluate_trained, run_kfold
-from .fusion import ConcatModel, FusionModel, ModelConfig, aggregate_importance
+from .fusion import ConcatModel, FusionModel, ModelConfig, aggregate_importance, build_set
 from .metrics import export_fim
 from .tensor import POOL_MODES
 from .training import TrainConfig, train
@@ -76,30 +78,21 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _run_dir(resolved: dict, out, outputs=()) -> Path:
-    """The run directory, holding the resolved config and none of the
-    ``outputs`` an earlier run left there, so a failed run leaves none."""
+@contextmanager
+def _run_dir(resolved: dict, out):
+    """The run directory, emptied of whatever an earlier run left there. The
+    resolved config is written only when the block exits normally, so a
+    directory without ``resolved_config.json`` holds a failed or interrupted run."""
     run_dir = Path(out) / config_hash(resolved)
     try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        for name in outputs:
-            (run_dir / name).unlink(missing_ok=True)
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
+        run_dir.mkdir(parents=True)
     except OSError as exc:
-        raise ConfigError(f"{run_dir}: cannot set up the run directory: {exc.strerror}")
+        raise ConfigError(f"{run_dir}: cannot set up the run directory: {exc.strerror or exc}")
+    yield run_dir
     (run_dir / "resolved_config.json").write_text(
         json.dumps(resolved, sort_keys=True, indent=2) + "\n")
-    return run_dir
-
-
-def _log_writer(path: Path):
-    fh = open(path, "w")
-    fh.write(json.dumps({"event": "start", "timestamp": time.time()}) + "\n")
-
-    def write(record: dict) -> None:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-        fh.flush()
-
-    return fh, write
 
 
 def _select_specs(manifest, resolved: dict):
@@ -144,9 +137,9 @@ def _model_builder(manifest, resolved: dict):
 def cmd_gen_synthetic(args) -> int:
     resolved = _resolve(GEN_DEFAULTS, args)
     cfg = _config(SyntheticConfig, resolved)
-    run_dir = _run_dir(resolved, args.out)
-    manifest, samples = generate_synthetic(cfg)
-    save_dataset(manifest, samples, run_dir)
+    with _run_dir(resolved, args.out) as run_dir:
+        manifest, samples = generate_synthetic(cfg)
+        save_dataset(manifest, samples, run_dir)
     print(f"wrote {manifest.sample_count} samples to {run_dir}")
     return 0
 
@@ -189,26 +182,20 @@ def _check_checkpoint_fits(model, manifest) -> None:
 def _check_sets_nonempty(model, samples) -> None:
     """A set model needs every sample to keep an instance of one of its
     modalities; the concat baseline takes such a sample as zero slots."""
-    if not isinstance(model, FusionModel):
-        return
-    kept = set(model.modality_ids)
-    for sample in samples:
-        if not any(inst.modality_id in kept for inst in sample.instances):
-            raise DataError(f"no instance of the model's modalities {sorted(kept)}",
-                            sample_id=sample.sample_id, field="modalities")
+    if isinstance(model, FusionModel):
+        for sample in samples:
+            build_set(sample, model.specs)
 
 
 def cmd_train(args) -> int:
     manifest, samples, resolved, build_model, train_config = _prepare(args, {})
     model = build_model(resolved["seed"])
     _check_sets_nonempty(model, samples)
-    run_dir = _run_dir(resolved, args.out, ["checkpoint.json"])
-    fh, write = _log_writer(run_dir / "train_log.jsonl")
-    try:
-        train(model, samples, train_config, task=manifest.task, on_epoch=write)
-    finally:
-        fh.close()
-    save_checkpoint(model, run_dir / "checkpoint.json", config_hash(resolved))
+    with _run_dir(resolved, args.out) as run_dir, open(run_dir / "train_log.jsonl", "w") as log:
+        print(json.dumps({"event": "start", "timestamp": time.time()}), file=log)
+        train(model, samples, train_config, task=manifest.task,
+              on_epoch=lambda rec: print(json.dumps(rec, sort_keys=True), file=log, flush=True))
+        save_checkpoint(model, run_dir / "checkpoint.json", config_hash(resolved))
     print(f"checkpoint written to {run_dir / 'checkpoint.json'}")
     return 0
 
@@ -221,6 +208,8 @@ def cmd_eval(args) -> int:
     if k and (isinstance(k, bool) or not isinstance(k, int) or not 2 <= k <= len(samples)):
         raise ConfigError(f"kfold must be an integer from 2 to the sample count "
                           f"{len(samples)}, got {k!r}")
+    if k and resolved["checkpoint"] is not None:
+        raise ConfigError("checkpoint must be null with --kfold, which trains its own models")
     if not k and not (resolved["checkpoint"] and isinstance(resolved["checkpoint"], str)):
         raise ConfigError("eval needs --kfold K or --checkpoint PATH")
     if k:
@@ -234,22 +223,21 @@ def cmd_eval(args) -> int:
     if resolved["importance"] and pool not in ("max", "min"):
         raise ConfigError(f"--importance needs max or min pooling, got {pool!r}")
 
-    run_dir = _run_dir(resolved, args.out,
-                       ["report.json", "fim.csv", "fim.json", "importance_records.jsonl"])
-    if k:
-        report, records = run_kfold(samples, manifest.task,
-                                    lambda fold: build_model(resolved["seed"] + 1000 * fold),
-                                    train_config, k=k, seed=resolved["seed"])
-    else:
-        report, records = evaluate_trained(model, samples, manifest.task)
-    if resolved["importance"]:
-        report.fim = aggregate_importance(records)
-        export_fim([(f"{pool}_D{dim}", report.fim)], run_dir / "fim.csv")
-        with open(run_dir / "importance_records.jsonl", "w") as fh:
-            for rec in records:
-                fh.write(json.dumps({"sample_id": rec.sample_id, "counts": rec.counts,
-                                     "fractions": rec.fractions}, sort_keys=True) + "\n")
-    (run_dir / "report.json").write_text(report.to_json())
+    with _run_dir(resolved, args.out) as run_dir:
+        if k:
+            report, records = run_kfold(samples, manifest.task,
+                                        lambda fold: build_model(resolved["seed"] + 1000 * fold),
+                                        train_config, k=k, seed=resolved["seed"])
+        else:
+            report, records = evaluate_trained(model, samples, manifest.task)
+        if resolved["importance"]:
+            report.fim = aggregate_importance(records)
+            export_fim([(f"{pool}_D{dim}", report.fim)], run_dir / "fim.csv")
+            with open(run_dir / "importance_records.jsonl", "w") as fh:
+                for rec in records:
+                    fh.write(json.dumps({"sample_id": rec.sample_id, "counts": rec.counts,
+                                         "fractions": rec.fractions}, sort_keys=True) + "\n")
+        (run_dir / "report.json").write_text(report.to_json())
     print(f"report written to {run_dir / 'report.json'}")
     return 0
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -413,6 +414,70 @@ def test_failed_rerun_keeps_no_earlier_outputs(tmp_path, flags, outputs):
     assert not any((run_dir / name).exists() for name in outputs)
 
 
+@pytest.mark.parametrize("command,config,setup,left", [
+    (["train"], {"peak_lr": 1e300, "epochs": 3, "warmup_epochs": 1}, None, {"train_log.jsonl"}),
+    (["eval", "--kfold", "2"], {"epochs": 1, "warmup_epochs": 0}, _payload_set_to_1e308, set()),
+], ids=["train-peak-lr-overflows", "eval-kfold-payload-1e308"])
+def test_failed_run_writes_no_resolved_config(tmp_path, command, config, setup, left):
+    # a run directory without resolved_config.json holds a failed run
+    data = gen_dataset(tmp_path)
+    if setup is not None:
+        setup(tmp_path / "bad", data)
+        data = tmp_path / "bad"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    assert main([*command, "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 3
+    (run_dir,) = run_dirs(out)
+    assert {p.name for p in run_dir.iterdir()} == left
+    if left:  # the log keeps the lines written before the failure
+        lines = (run_dir / "train_log.jsonl").read_text().splitlines()
+        assert json.loads(lines[0])["event"] == "start"
+        assert 1 <= len(lines) - 1 < config["epochs"]
+
+
+def test_interrupted_train_writes_no_resolved_config(tmp_path, monkeypatch):
+    import mmsets.cli as cli
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train", interrupt)
+    data = gen_dataset(tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--data", str(data), "--out", str(tmp_path / "runs")])
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    assert {p.name for p in run_dir.iterdir()} == {"train_log.jsonl"}
+
+
+def test_rerun_clears_the_run_directory(tmp_path):
+    data = gen_dataset(tmp_path)
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "runs"),
+            "--epochs", "1", "--warmup-epochs", "0", "--dim", "8"]
+    assert main(argv) == 0
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    (run_dir / "notes.txt").write_text("left by hand\n")
+    (run_dir / "extra").mkdir()
+    assert main(argv) == 0
+    assert {p.name for p in run_dir.iterdir()} == set(first)
+    for name in ("checkpoint.json", "resolved_config.json"):
+        assert (run_dir / name).read_bytes() == first[name]
+
+
+def test_run_directory_that_cannot_be_cleared_exits_1(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "runs"),
+            "--epochs", "1", "--warmup-epochs", "0", "--dim", "8"]
+    assert main(argv) == 0
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    shutil.rmtree(run_dir)
+    run_dir.write_text("a file where the run directory goes\n")
+    assert main(argv) == 1
+    assert "cannot set up the run directory" in capsys.readouterr().err
+    assert run_dir.read_text() == "a file where the run directory goes\n"
+
+
 class TestFoldSizes:
     def test_327_samples_kfold_5_fold_sizes(self, tmp_path):
         out = tmp_path / "data"
@@ -451,13 +516,14 @@ class TestFoldSizes:
     ("eval", {}, ["--kfold", "1"], "kfold"),
     ("eval", {}, ["--kfold", "100"], "kfold"),
     ("eval", {"importance": "no"}, ["--kfold", "2"], "importance"),
+    ("eval", {}, ["--kfold", "2", "--checkpoint", "no-such-checkpoint.json"], "checkpoint"),
     ("gen-synthetic", {"feature_dims": [8.5, 8, 8, 8]}, [], "feature_dims[0]"),
     ("gen-synthetic", {"missing_rates": "x"}, [], "missing_rates"),
     ("train", {"modalities": [["m0"]]}, [], "modalities"),
     ("train", {"modalities": [{}]}, [], "modalities"),
 ], ids=["dim-str", "dim-zero", "hidden-zero", "dropout", "class-prior", "peak-lr",
         "no-kernel-widths", "repeated-kernel-widths", "kfold-1", "kfold-over-samples",
-        "importance-str", "feature-dims-float", "missing-rates-str", "modalities-nested-list",
+        "importance-str", "kfold-with-checkpoint", "feature-dims-float", "missing-rates-str", "modalities-nested-list",
         "modalities-object"])
 def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, config,
                                                  flags, named):
