@@ -53,18 +53,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _resolve(defaults: dict, args) -> dict:
-    """Flags over the config file over ``defaults``; each flag's dest is the
-    field it sets. An unset seed falls back to MMSETS_SEED, then 0."""
-    resolved = dict(defaults)
-    for key, value in (read_json_object(args.config, ConfigError) if args.config else {}).items():
+def _given(defaults: dict, args) -> dict:
+    """The fields of ``defaults`` that the config file sets, each overridden
+    by its flag, and those set by a flag alone; each flag's dest is the field
+    it sets. A config field not in ``defaults`` is a ConfigError."""
+    given = read_json_object(args.config, ConfigError) if args.config else {}
+    for key in given:
         if key not in defaults:
             raise ConfigError(f"unknown config field {key!r}")
-        resolved[key] = value
     for key in defaults:
         if getattr(args, key, None) is not None:
-            resolved[key] = getattr(args, key)
-    if resolved["seed"] is None:
+            given[key] = getattr(args, key)
+    return given
+
+
+def _resolve(defaults: dict, given: dict) -> dict:
+    """``given`` over ``defaults``. An unset seed falls back to MMSETS_SEED,
+    then 0."""
+    resolved = {**defaults, **given}
+    if "seed" in resolved and resolved["seed"] is None:
         env = os.environ.get("MMSETS_SEED", "0")
         try:
             resolved["seed"] = int(env)
@@ -135,7 +142,7 @@ def _model_builder(manifest, resolved: dict):
 
 
 def cmd_gen_synthetic(args) -> int:
-    resolved = _resolve(GEN_DEFAULTS, args)
+    resolved = _resolve(GEN_DEFAULTS, _given(GEN_DEFAULTS, args))
     cfg = _config(SyntheticConfig, resolved)
     with _run_dir(resolved, args.out) as run_dir:
         manifest, samples = generate_synthetic(cfg)
@@ -144,20 +151,16 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _prepare(args, extra_defaults: dict):
-    """Load the data and resolve and check every train/eval setting, before
-    anything is written. Returns (manifest, samples, resolved config,
-    seed -> fresh model, TrainConfig)."""
+def _prepare(args, defaults: dict):
+    """Load the data and read the fields of ``defaults`` that the config file
+    and flags set, before anything is written. Returns (manifest, samples,
+    the given fields)."""
     if not args.data:
         raise ConfigError("--data is required")
     manifest, samples = load_dataset_dir(args.data)
     if not samples:
         raise DataError("the dataset holds no samples", field=str(args.data))
-    resolved = _resolve({**MODEL_DEFAULTS, **TRAIN_DEFAULTS, **extra_defaults}, args)
-    resolved["data"] = str(args.data)
-    resolved["command"] = args.command
-    return (manifest, samples, resolved, _model_builder(manifest, resolved),
-            _config(TrainConfig, resolved))
+    return manifest, samples, _given(defaults, args)
 
 
 def _check_checkpoint_fits(model, manifest) -> None:
@@ -188,7 +191,11 @@ def _check_sets_nonempty(model, samples) -> None:
 
 
 def cmd_train(args) -> int:
-    manifest, samples, resolved, build_model, train_config = _prepare(args, {})
+    defaults = {**MODEL_DEFAULTS, **TRAIN_DEFAULTS}
+    manifest, samples, given = _prepare(args, defaults)
+    resolved = _resolve(defaults, given)
+    resolved.update(data=str(args.data), command=args.command)
+    build_model, train_config = _model_builder(manifest, resolved), _config(TrainConfig, resolved)
     model = build_model(resolved["seed"])
     _check_sets_nonempty(model, samples)
     with _run_dir(resolved, args.out) as run_dir, open(run_dir / "train_log.jsonl", "w") as log:
@@ -201,7 +208,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest, samples, resolved, build_model, train_config = _prepare(args, EVAL_DEFAULTS)
+    defaults = {**MODEL_DEFAULTS, **TRAIN_DEFAULTS, **EVAL_DEFAULTS}
+    manifest, samples, given = _prepare(args, defaults)
+    resolved = {key: given.get(key, default) for key, default in EVAL_DEFAULTS.items()}
     if not isinstance(resolved["importance"], bool):
         raise ConfigError(f"importance must be a bool, got {resolved['importance']!r}")
     k = resolved["kfold"]
@@ -213,10 +222,22 @@ def cmd_eval(args) -> int:
     if not k and not (resolved["checkpoint"] and isinstance(resolved["checkpoint"], str)):
         raise ConfigError("eval needs --kfold K or --checkpoint PATH")
     if k:
+        resolved = _resolve(defaults, given)
+        build_model, train_config = _model_builder(manifest, resolved), _config(TrainConfig, resolved)
         model = build_model(resolved["seed"])  # fold 0's model, to check against
     else:
-        model, _ = load_checkpoint(resolved["checkpoint"])
+        decided = [key for key in given if key not in EVAL_DEFAULTS]
+        if decided:
+            raise ConfigError(f"{decided[0]} cannot be set with --checkpoint, whose model "
+                              f"and training are fixed; got {sorted(decided)}")
+        path = resolved["checkpoint"]
+        model, _ = load_checkpoint(path)
+        try:
+            resolved["checkpoint_sha256"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read: {exc.strerror}") from None
         _check_checkpoint_fits(model, manifest)
+    resolved.update(data=str(args.data), command=args.command)
     _check_sets_nonempty(model, samples)
     # the evaluated model decides: the --kfold model, or the checkpoint's
     pool, dim = getattr(model, "pool", "concat"), model.config.dim

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import EmptySetError, check_int, check_real
-from .seeding import derive_rng
+from .seeding import derive_rng, stable_hash
 from .training import init_classifier_bias
 
 DENSE = "dense"
@@ -137,6 +137,19 @@ def _group_by_modality(sample, modality_ids) -> dict[str, list[np.ndarray]]:
     return grouped
 
 
+def _sorted_runs(sample, specs) -> dict[str, list[np.ndarray]]:
+    """A sample's payloads per spec, in the specs' order, each run ordered
+    by payload content and none left out. Raises EmptySetError when no
+    instance is of a modality in ``specs``."""
+    grouped = _group_by_modality(sample, [spec.modality_id for spec in specs])
+    if not any(grouped.values()):
+        raise EmptySetError("no usable instances after filtering to known modalities",
+                            sample_id=sample.sample_id)
+    for got in grouped.values():
+        got.sort(key=np.ndarray.tobytes)
+    return grouped
+
+
 def build_set(sample, specs, rng=None):
     """A sample's set as ``{modality_id: [payload]}``, one entry per spec in
     id order.
@@ -154,18 +167,14 @@ def build_set(sample, specs, rng=None):
     are ignored. Raises EmptySetError when nothing usable remains.
     """
     specs = sorted(specs, key=lambda spec: spec.modality_id)
-    grouped = _group_by_modality(sample, [spec.modality_id for spec in specs])
+    grouped = _sorted_runs(sample, specs)
     for spec in specs:
-        payloads = sorted(grouped[spec.modality_id], key=np.ndarray.tobytes)
+        payloads = grouped[spec.modality_id]
         if len(payloads) > spec.max_instances:
             if rng is None:
                 rng = derive_rng("eval", sample.sample_id)
             keep = rng.choice(len(payloads), size=spec.max_instances, replace=False)
-            payloads = [payloads[i] for i in sorted(keep)]
-        grouped[spec.modality_id] = payloads
-    if not any(grouped.values()):
-        raise EmptySetError("no usable instances after filtering to known modalities",
-                            sample_id=sample.sample_id)
+            grouped[spec.modality_id] = [payloads[i] for i in sorted(keep)]
     return grouped
 
 
@@ -184,8 +193,9 @@ class DenseEncoder:
         self.params = {"weight": T.parameter(_uniform_init(rng, (spec.input_dim, config.dim))),
                        "bias": T.parameter(np.zeros((1, config.dim)))}
 
-    def encode(self, payloads) -> T.Tensor:
-        """Encode a list of n payloads, one row each."""
+    def rows(self, payloads) -> np.ndarray:
+        """n payloads as one [n,M] float64 array; ValueError unless each is a
+        vector of length M."""
         try:
             x = np.array(payloads, dtype=np.float64)
         except ValueError:  # payloads of different lengths
@@ -196,6 +206,11 @@ class DenseEncoder:
                 f"modality {self.spec.modality_id!r} expects vectors of length "
                 f"{self.spec.input_dim}, got shape {shapes}"
             )
+        return x
+
+    def encode(self, payloads) -> T.Tensor:
+        """Encode n payloads, a list or an [n,M] array, one row each."""
+        x = self.rows(payloads)
         return T.elu(T.linear(T.Tensor(x), self.params["weight"], self.params["bias"]))
 
 
@@ -276,14 +291,76 @@ class Mlp:
         return x
 
 
+class TrainingStore:
+    """A model's training samples as columns, built once per ``train`` call.
+
+    Column k holds modality k's instances, sample after sample; each
+    sample's instances form one run in the model's element order, before any
+    subsampling. ``counts[i, k]`` is the length of sample i's run and
+    ``starts[i, k]`` its first row. A dense column is one [rows, M] float64
+    array, a sequence column a list of int arrays. ``hashes`` holds each
+    sample id's ``stable_hash``, which keys the sample's stream.
+    """
+
+    def __init__(self, model, samples):
+        runs = [model._runs(sample) for sample in samples]
+        self.counts = np.array([[len(got) for got in run.values()] for run in runs],
+                               dtype=np.intp).reshape(len(runs), len(model.specs))
+        self.starts = np.cumsum(self.counts, axis=0) - self.counts
+        self.caps = np.array([spec.max_instances for spec in model.specs], dtype=np.intp)
+        self.columns = []
+        for spec in model.specs:
+            column = [p for run in runs for p in run[spec.modality_id]]
+            if spec.kind == DENSE:
+                column = (model.encoders[spec.modality_id].rows(column) if column
+                          else np.zeros((0, spec.input_dim)))
+            self.columns.append(column)
+        self.hashes = [stable_hash(sample.sample_id) for sample in samples]
+        self.dim = model.config.dim
+        self._rng = np.random.Generator(np.random.PCG64())
+
+    def batch(self, idx, states):
+        """The training batch of samples ``idx``: (counts, owner, blocks, the
+        [N, dim] dropout uniforms), as ``_forward`` takes them.
+
+        Sample i's stream resumes from ``states[i]``. It draws the
+        subsampling of each of its runs over the cap, in modality order, and
+        then its run of uniforms, as ``build_set`` and ``forward_batch``
+        draw them.
+        """
+        counts = self.counts[idx]
+        sizes = np.minimum(counts, self.caps)
+        starts = self.starts[idx]
+        firsts = np.cumsum(sizes, axis=0) - sizes  # each run's first row in its block
+        rows = [np.repeat(starts[:, k] - firsts[:, k], sizes[:, k]) + np.arange(sizes[:, k].sum())
+                for k in range(len(self.columns))]
+        over = {}
+        for b, k in np.argwhere(counts > self.caps).tolist():
+            over.setdefault(b, []).append(k)
+        ends = np.cumsum(sizes.sum(axis=1)).tolist()
+        uniforms = np.empty((ends[-1], self.dim))
+        rng = self._rng
+        for b, (i, lo, hi) in enumerate(zip(idx.tolist(), [0, *ends], ends)):
+            rng.bit_generator.state = states[i]
+            for k in over.get(b, ()):
+                keep = rng.choice(int(counts[b, k]), size=int(self.caps[k]), replace=False)
+                rows[k][firsts[b, k]:firsts[b, k] + self.caps[k]] = starts[b, k] + np.sort(keep)
+            rng.random(out=uniforms[lo:hi])
+        blocks = [column[r] if isinstance(column, np.ndarray) else [column[j] for j in r.tolist()]
+                  for column, r in zip(self.columns, rows)]
+        owner = np.repeat(np.arange(sizes.size) % sizes.shape[1], sizes.reshape(-1))
+        return sizes.tolist(), owner, blocks, uniforms
+
+
 class _ModelCore:
     """What both models share: the ModelConfig, the sorted specs, one encoder
     per modality, the predictor, their parameters and the forward pass. A
     subclass sets up its combine step before calling this constructor, and
-    defines ``_group`` (a sample's payloads per modality), ``_combine`` (the
-    encoded rows, sample after sample, to the predictor's input) and
-    ``combined_dim``, its width. A training batch drops out those
-    sample-ordered rows, each sample drawing its run of uniforms as one block."""
+    defines ``_group`` (a sample's payloads per modality), ``_runs`` (the
+    same before any subsampling), ``_combine`` (the encoded rows, sample
+    after sample, to the predictor's input) and ``combined_dim``, its width.
+    A training batch drops out those sample-ordered rows, each sample drawing
+    its run of uniforms as one block."""
 
     def __init__(self, specs, num_classes: int, seed: int, config: dict):
         ids = [s.modality_id for s in specs]
@@ -329,34 +406,59 @@ class _ModelCore:
             raise ValueError(f"got {len(rngs)} rngs for {len(samples)} samples")
         groups = [self._group(s, None if rngs is None else rngs[b])
                   for b, s in enumerate(samples)]
-        sizes = [sum(map(len, group.values())) for group in groups]
-        # owner[i] indexes in modality_ids the modality of element i, the
-        # elements numbered sample after sample
+        counts = [[len(got) for got in group.values()] for group in groups]
         owner = np.array([i for group in groups for i, got in enumerate(group.values())
                           for _ in got], dtype=np.intp)
-        x = self._encode(groups, owner)
+        blocks = [[p for group in groups for p in group[mid]] for mid in self.modality_ids]
+        uniforms = None
         if rngs is not None:
-            uniforms = np.empty(x.shape)
-            ends = np.cumsum(sizes).tolist()
+            uniforms = np.empty((owner.size, self.config.dim))
+            ends = np.cumsum([sum(row) for row in counts]).tolist()
             for rng, lo, hi in zip(rngs, [0, *ends], ends):
                 rng.random(out=uniforms[lo:hi])
+        return self._forward(counts, owner, blocks, uniforms)
+
+    def training_store(self, samples) -> TrainingStore:
+        """The columnar view of ``samples`` that ``forward_store`` draws
+        batches from. A dense payload of the wrong shape raises ValueError,
+        and for FusionModel a sample with no usable instance EmptySetError,
+        as a forward of that sample would."""
+        return TrainingStore(self, samples)
+
+    def forward_store(self, store: TrainingStore, idx, states):
+        """The training batch of the store's samples ``idx`` (an int array),
+        sample i's stream resuming from ``states[i]``: equal, bit for bit,
+        to ``forward_batch`` of those samples with those streams."""
+        return self._forward(*store.batch(idx, states))
+
+    def _forward(self, counts, owner, blocks, uniforms):
+        """Encode, drop out, combine and predict one batch: (logits, owners).
+
+        The elements are numbered sample after sample, and within a sample
+        modality after modality. ``counts[b][k]``, a list of int lists, is
+        sample b's number of elements of modality k, and ``owner[i]``
+        indexes in ``modality_ids`` the modality of element i. ``blocks[k]``
+        holds modality k's payloads, sample after sample. ``uniforms``,
+        [N, D] in element order, are a training batch's dropout draws, None
+        at inference.
+        """
+        x = self._encode(blocks, owner)
+        if uniforms is not None:
             x = T.dropout(x, self.config.dropout_p, uniforms)
-        x, owners = self._combine(groups, sizes, x, owner)
+        x, owners = self._combine(counts, x, owner)
         return self.predictor(x), owners
 
-    def _encode(self, groups, owner):
+    def _encode(self, blocks, owner):
         """Encode every element of a batch: [N, D] rows in element order.
 
-        ``groups[b]`` maps each modality id, in id order, to sample b's
-        payloads, as ``_group`` returns them; ``owner`` holds each element's
-        modality. The encoders run one block per modality, and one scatter
-        puts their rows back in element order.
+        ``blocks[k]`` holds modality k's payloads and ``owner`` each
+        element's modality. The encoders run one block per modality, and one
+        scatter puts their rows back in element order.
         """
         if owner.size == 0:
             return T.Tensor(np.zeros((0, self.config.dim)))
-        blocks = [[p for group in groups for p in group[mid]] for mid in self.modality_ids]
         rows = T.concat([self.encoders[mid].encode(block)
-                         for mid, block in zip(self.modality_ids, blocks) if block], axis=0)
+                         for mid, block in zip(self.modality_ids, blocks) if len(block)], axis=0)
         order = np.argsort(owner, kind="stable")
         return T.scatter_rows(rows, order, (owner.size, self.config.dim))
 
@@ -403,10 +505,13 @@ class FusionModel(_ModelCore):
     def _group(self, sample, rng):
         return build_set(sample, self.specs, rng)
 
-    def _combine(self, groups, sizes, x, owner):
+    def _runs(self, sample):
+        return _sorted_runs(sample, self.specs)
+
+    def _combine(self, counts, x, owner):
         """Pool each sample's rows only: ([B,D], the [B,D] owner matrix under
         max/min pooling, None under sum and mean)."""
-        pooled, argidx = T.reduce_over_set(x, self.pool, sizes)
+        pooled, argidx = T.reduce_over_set(x, self.pool, [sum(row) for row in counts])
         return pooled, None if argidx is None else owner[argidx]
 
 
@@ -436,16 +541,20 @@ class ConcatModel(_ModelCore):
             del got[self.slots[mid]:]
         return group
 
-    def _combine(self, groups, sizes, x, owner):
+    def _runs(self, sample):
+        return self._group(sample, None)
+
+    def _combine(self, counts, x, owner):
         """Row b of the [B, sum(slots)*D] result is sample b's slot vector."""
         n_slots = sum(self.slots.values())
+        slots = [self.slots[mid] for mid in self.modality_ids]
         slot_rows = []
-        for b, group in enumerate(groups):
+        for b, row in enumerate(counts):
             first = b * n_slots
-            for mid, got in group.items():
-                slot_rows.extend(range(first, first + len(got)))
-                first += self.slots[mid]
-        shape = (len(groups), n_slots * self.config.dim)
+            for got, n in zip(row, slots):
+                slot_rows.extend(range(first, first + got))
+                first += n
+        shape = (len(counts), n_slots * self.config.dim)
         return T.scatter_rows(x, np.array(slot_rows, dtype=np.intp), shape), None
 
 

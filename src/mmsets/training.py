@@ -19,7 +19,8 @@ import numpy as np
 from . import tensor as T
 from .errors import DataError, NumericError, check_int, check_real
 from .metrics import decide
-from .seeding import derive_rng, sample_rng
+# sample_rng is unused, but perfbench's traced run wraps it here
+from .seeding import derive_rng, sample_rng, sample_states  # noqa: F401
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's fixed moment decay rates and denominator floor
 
@@ -194,8 +195,8 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     """Run the full training loop in place; returns the per-epoch history.
 
     Args:
-        model: a fusion or concat model exposing ``forward_batch(samples,
-            rngs)`` and ``named_parameters()``.
+        model: a fusion or concat model exposing ``training_store(samples)``,
+            ``forward_store(store, idx, states)`` and ``named_parameters()``.
         samples: sequence of dataset samples.
         config: optimizer/schedule settings; ``config.seed`` drives epoch
             shuffling, subsampling, and dropout, so identical configs give
@@ -203,14 +204,18 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
         task: "single_label" or "multi_label", for the logged accuracy.
         on_epoch: optional callback receiving each epoch's log record.
 
-    Each epoch shuffles the sample order and walks minibatches. A minibatch
-    is one batched forward pass, in which every sample draws from its own
-    stream, and one backward pass of the batch-mean loss, then one optimizer
-    step. A non-finite loss raises NumericError naming the batch's first
-    sample whose loss is not finite.
+    The model's columnar store of the samples is built once, so a dense
+    payload of the wrong shape or an empty set fails before epoch 0. Each
+    epoch shuffles the sample order, derives every sample's stream at once
+    (each equal to ``sample_rng(config.seed, epoch, sample_id)``) and walks
+    minibatches. A minibatch is one batched forward pass, in which every
+    sample draws from its own stream, and one backward pass of the
+    batch-mean loss, then one optimizer step. A non-finite loss raises
+    NumericError naming the batch's first sample whose loss is not finite.
     """
     if not samples:
         raise DataError("cannot train on an empty dataset")
+    store = model.training_store(samples)
     state = AdamWState(model.named_parameters(), weight_decay=config.weight_decay)
     labels = np.stack([s.labels for s in samples])
     if config.class_weighting:
@@ -223,23 +228,21 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
         order = derive_rng(config.seed, "shuffle", epoch).permutation(n)
+        states = sample_states(config.seed, epoch, store.hashes)
         loss_sum = 0.0
         acc_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            batch = [samples[i] for i in batch_idx]
             state.grad.fill(0.0)
-            rngs = [sample_rng(config.seed, epoch, s.sample_id) for s in batch]
             with T.Tape():
-                logits, _ = model.forward_batch(batch, rngs)
+                logits, _ = model.forward_store(store, batch_idx, states)
                 losses = weighted_sigmoid_ce(logits, labels[batch_idx], weights)
             loss_values = losses.data[:, 0]
             bad = np.flatnonzero(~np.isfinite(loss_values))
             if bad.size:
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, sample {batch[bad[0]].sample_id!r}"
-                )
-            T.backward(losses, np.full(losses.shape, 1.0 / len(batch)))
+                raise NumericError(f"non-finite loss at epoch {epoch}, "
+                                   f"sample {samples[batch_idx[bad[0]]].sample_id!r}")
+            T.backward(losses, np.full(losses.shape, 1.0 / len(batch_idx)))
             loss_sum += float(loss_values.sum())
             acc_sum += float(_accuracy_terms(T.sigmoid_values(logits.data),
                                              labels[batch_idx], task).sum())

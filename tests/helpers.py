@@ -7,9 +7,13 @@ value-only forward with each parameter entry nudged up and down.
 
 import numpy as np
 
+import mmsets.tensor as T
 from mmsets.data import ModalityInstance, Sample
 from mmsets.fusion import ModalitySpec
+from mmsets.seeding import derive_rng, sample_rng
 from mmsets.tensor import Tensor, accumulate_grad, register_op, sigmoid_values
+from mmsets.training import (AdamWState, _accuracy_terms, adamw_step,
+                             inverse_sqrt_class_weights, lr_at, weighted_sigmoid_ce)
 
 
 def central_diff(f, array: np.ndarray, h: float) -> np.ndarray:
@@ -76,6 +80,37 @@ def shuffled_copy(sample: Sample, rng: np.random.Generator) -> Sample:
     return Sample(sample_id=sample.sample_id,
                   instances=[sample.instances[i] for i in order],
                   labels=sample.labels, group=sample.group)
+
+
+def reference_train(model, samples, config, task="single_label") -> list[dict]:
+    """``train`` as a plain loop: every batch is ``forward_batch`` of its
+    samples, each with a fresh ``sample_rng`` stream, then the loss, one
+    backward pass and one AdamW step. ``train`` must match it bit for bit."""
+    state = AdamWState(model.named_parameters(), weight_decay=config.weight_decay)
+    labels = np.stack([s.labels for s in samples])
+    weights = (inverse_sqrt_class_weights(labels) if config.class_weighting
+               else np.ones(model.num_classes))
+    history = []
+    for epoch in range(config.epochs):
+        lr = lr_at(config, epoch)
+        order = derive_rng(config.seed, "shuffle", epoch).permutation(len(samples))
+        loss_sum = acc_sum = 0.0
+        for start in range(0, len(samples), config.batch_size):
+            batch_idx = order[start:start + config.batch_size]
+            batch = [samples[i] for i in batch_idx]
+            state.grad.fill(0.0)
+            rngs = [sample_rng(config.seed, epoch, s.sample_id) for s in batch]
+            with T.Tape():
+                logits, _ = model.forward_batch(batch, rngs)
+                losses = weighted_sigmoid_ce(logits, labels[batch_idx], weights)
+            T.backward(losses, np.full(losses.shape, 1.0 / len(batch)))
+            loss_sum += float(losses.data[:, 0].sum())
+            acc_sum += float(_accuracy_terms(sigmoid_values(logits.data),
+                                             labels[batch_idx], task).sum())
+            adamw_step(state, lr)
+        history.append({"epoch": epoch, "lr": lr, "loss": loss_sum / len(samples),
+                        "train_accuracy": acc_sum / len(samples)})
+    return history
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -171,8 +173,7 @@ class TestEval:
     def test_eval_from_checkpoint(self, tmp_path):
         data = gen_dataset(tmp_path)
         code = main(["eval", "--data", str(data), "--out", str(tmp_path / "ev"),
-                     "--checkpoint", str(train_checkpoint(tmp_path, data)),
-                     "--dim", "8"])
+                     "--checkpoint", str(train_checkpoint(tmp_path, data))])
         assert code == 0
         (run_dir,) = run_dirs(tmp_path / "ev")
         report = json.loads((run_dir / "report.json").read_text())
@@ -228,14 +229,49 @@ class TestEval:
         assert not out.exists()
 
     def test_checkpoint_pool_decides_importance(self, tmp_path):
-        # --pool does not apply to a checkpoint; its own max pool does
+        # the checkpoint's own min pool, not the default max, names the row
         data = gen_dataset(tmp_path)
-        checkpoint = train_checkpoint(tmp_path, data, ["--pool", "max"])
+        checkpoint = train_checkpoint(tmp_path, data, ["--pool", "min"])
         code = main(["eval", "--data", str(data), "--out", str(tmp_path / "ev"),
-                     "--checkpoint", str(checkpoint), "--pool", "sum", "--importance"])
+                     "--checkpoint", str(checkpoint), "--importance"])
         assert code == 0
         (run_dir,) = run_dirs(tmp_path / "ev")
-        assert (run_dir / "fim.csv").read_text().splitlines()[1].startswith("max_D8,")
+        assert (run_dir / "fim.csv").read_text().splitlines()[1].startswith("min_D8,")
+
+    @pytest.mark.parametrize("config,flags,named", [
+        ({}, ["--pool", "sum", "--dim", "64", "--epochs", "9"], "dim"),
+        ({"seed": 3}, [], "seed"),
+        ({"importance": True, "baseline": None}, [], "baseline"),
+    ], ids=["flags", "config-seed", "config-default-value"])
+    def test_checkpoint_takes_no_model_or_training_field(self, tmp_path, capsys, config,
+                                                         flags, named):
+        data = gen_dataset(tmp_path)
+        checkpoint = train_checkpoint(tmp_path, data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "ev"
+        code = main(["eval", "--data", str(data), "--out", str(out), "--config", str(cfg),
+                     "--checkpoint", str(checkpoint), *flags])
+        assert code == 1
+        assert f"{named} cannot be set with --checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_run_is_keyed_by_the_checkpoint_bytes(self, tmp_path):
+        """The resolved config holds the eval fields, the data, the command and
+        the checkpoint's sha256: a checkpoint rewritten at one path is a new run."""
+        data = gen_dataset(tmp_path)
+        path = tmp_path / "model.json"
+        out = tmp_path / "ev"
+        hashes = []
+        for seed in ("1", "2"):
+            shutil.copyfile(train_checkpoint(tmp_path / seed, data, ["--seed", seed]), path)
+            assert main(["eval", "--data", str(data), "--out", str(out),
+                         "--checkpoint", str(path)]) == 0
+            hashes.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert hashes[0] != hashes[1]
+        configs = [json.loads((d / "resolved_config.json").read_text()) for d in run_dirs(out)]
+        assert sorted(c["checkpoint_sha256"] for c in configs) == sorted(hashes)
+        assert configs[0].keys() == {*EVAL_DEFAULTS, "data", "command", "checkpoint_sha256"}
 
     @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
     def test_checkpoint_version_must_be_the_integer_1(self, tmp_path, capsys, version):
@@ -297,6 +333,25 @@ class TestUsage:
         assert result.returncode == 0
 
 
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One training in a process with 1 BLAS thread and one with 2 write the
+    same checkpoint bytes; at dim 256 with batches of 64 the products are
+    large enough for OpenBLAS to split them over threads."""
+    data = gen_dataset(tmp_path)
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-m", "mmsets.cli", "train", "--data", str(data),
+             "--out", str(out), "--dim", "256", "--batch-size", "64", "--epochs", "2",
+             "--warmup-epochs", "1"], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        (run_dir,) = run_dirs(out)
+        checkpoints.append((run_dir / "checkpoint.json").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 class TestModalitySubset:
     def test_train_on_subset(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -346,9 +401,9 @@ def test_set_model_needs_its_modalities_in_every_sample(tmp_path, capsys, comman
             "eval-kfold": ["eval", "--kfold", "2", "--modalities", "m1"],
             "eval-checkpoint": ["eval", "--checkpoint", str(train_checkpoint(
                 tmp_path, gen_dataset(tmp_path), ["--modalities", "m1"]))]}
+    training = [] if command == "eval-checkpoint" else ["--epochs", "1", "--warmup-epochs", "0"]
     out = tmp_path / "runs"
-    code = main([*args[command], "--data", str(data), "--out", str(out),
-                 "--epochs", "1", "--warmup-epochs", "0"])
+    code = main([*args[command], "--data", str(data), "--out", str(out), *training])
     assert code == 2
     assert "modalities" in capsys.readouterr().err
     assert not out.exists()
@@ -645,10 +700,10 @@ def test_mutated_inputs_end_in_an_exit_code(tmp_path):
         for file_name, text in files.items():
             (case_dir / file_name).write_text(text)
         command = (["eval", "--checkpoint", str(case_dir / "checkpoint.json"), "--importance"]
-                   if name == "checkpoint.json" else ["train"])
+                   if name == "checkpoint.json"
+                   else ["train", "--config", str(case_dir / "config.json")])
         try:
-            code = main([*command, "--data", str(case_dir), "--config",
-                         str(case_dir / "config.json"), "--out", str(case_dir / "runs")])
+            code = main([*command, "--data", str(case_dir), "--out", str(case_dir / "runs")])
         except Exception as exc:
             pytest.fail(f"case {case}: {name} holding {files[name][:300]!r} raised {exc!r}")
         assert code in (0, 1, 2, 3)

@@ -7,12 +7,12 @@ import pytest
 import mmsets.tensor as T
 import mmsets.training as training
 from mmsets.data import ModalityInstance, Sample
-from mmsets.errors import DataError, NumericError
-from mmsets.fusion import FusionModel, ImportanceRecord, ModalitySpec
+from mmsets.errors import DataError, EmptySetError, NumericError
+from mmsets.fusion import ConcatModel, FusionModel, ImportanceRecord, ModalitySpec
 from mmsets.training import (AdamWState, TrainConfig, adamw_step,
                              init_classifier_bias, inverse_sqrt_class_weights,
                              kfold_split, lr_at, train, weighted_sigmoid_ce)
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, max_rel_err, mixed_specs, random_sample, reference_train
 
 
 class TestSchedule:
@@ -440,6 +440,58 @@ class TestTrain:
         for rec in history:
             assert set(rec) == {"epoch", "lr", "loss", "train_accuracy"}
             assert math.isfinite(rec["loss"])
+
+
+@pytest.mark.parametrize("model_class, pool, class_weighting", [
+    (FusionModel, "max", False), (FusionModel, "mean", True), (ConcatModel, None, False)])
+def test_train_matches_the_reference_loop_bit_for_bit(model_class, pool, class_weighting):
+    """The columnar store and each epoch's derived streams give the bytes of
+    one forward_batch per batch with sample_rng streams, on ragged data."""
+    specs = mixed_specs(max_instances=2)
+    rng = np.random.default_rng(30)
+    samples = [random_sample(rng, specs, sample_id=f"r{i}", max_instances=4) for i in range(23)]
+    if model_class is ConcatModel:  # no instance the model knows: all zero slots
+        samples.insert(7, Sample("rogue", [ModalityInstance("other", np.ones(2))],
+                                 np.array([0, 1])))
+    counts = [[sum(i.modality_id == spec.modality_id for i in s.instances) for spec in specs]
+              for s in samples]
+    assert max(map(max, counts)) > 2 and min(map(min, counts)) == 0  # over the cap, missing
+    assert min(len(i.payload) for s in samples for i in s.instances
+               if i.modality_id == "obj") < 4  # shorter than the widest kernel
+    config = TrainConfig(epochs=3, warmup_epochs=1, batch_size=5, peak_lr=0.05, seed=7919,
+                         class_weighting=class_weighting)
+    assert len(samples) % config.batch_size
+    kwargs = {"dim": 6, "embed_dim": 4, "num_filters": 3, "kernel_widths": (2, 4), "seed": 31}
+    if pool is not None:
+        kwargs["pool"] = pool
+    models = [model_class(specs, num_classes=2, **kwargs) for _ in range(2)]
+    initial = {n: p.data.copy() for n, p in models[0].named_parameters().items()}
+    history = train(models[0], samples, config)
+    assert history == reference_train(models[1], samples, config)
+    trained = models[0].named_parameters()
+    for name, p in models[1].named_parameters().items():
+        assert trained[name].data.tobytes() == p.data.tobytes(), name
+    assert not np.array_equal(trained["encoder.obj.embedding"].data,
+                              initial["encoder.obj.embedding"])
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (Sample("short", [ModalityInstance("x", np.zeros(3))], np.array([1, 0])), ValueError,
+     r"expects vectors of length 4, got shape \[\(3,\), \(4,\)\]"),
+    (Sample("lost", [ModalityInstance("y", np.zeros(4))], np.array([1, 0])), EmptySetError,
+     "lost"),
+], ids=["dense-shape", "empty-set"])
+def test_train_checks_every_sample_before_the_first_step(bad, error, match):
+    """A dense payload of the wrong shape fails as the encoder's error, and a
+    set model's empty sample as EmptySetError, before any optimizer step,
+    although the bad sample comes last in epoch 0's order of batches of one."""
+    model = _tiny_model()
+    before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+    with pytest.raises(error, match=match):
+        train(model, [*_tiny_dataset(6, seed=24), bad],
+              TrainConfig(epochs=2, warmup_epochs=0, batch_size=1))
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(p.data, before[name]), name
 
 
 class TestKfold:
