@@ -30,7 +30,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SyntheticConfig, generate_synthetic, load_dataset_dir, save_dataset
 from .errors import ConfigError, DataError, NumericError, read_json_object
 from .evaluate import evaluate_trained, run_kfold
-from .fusion import ConcatModel, FusionModel, ModelConfig, aggregate_importance, build_set
+from .fusion import ConcatModel, FusionModel, ModelConfig, aggregate_importance
 from .metrics import export_fim
 from .tensor import POOL_MODES
 from .training import TrainConfig, train
@@ -183,11 +183,10 @@ def _check_checkpoint_fits(model, manifest) -> None:
 
 
 def _check_sets_nonempty(model, samples) -> None:
-    """A set model needs every sample to keep an instance of one of its
-    modalities; the concat baseline takes such a sample as zero slots."""
-    if isinstance(model, FusionModel):
-        for sample in samples:
-            build_set(sample, model.specs)
+    """A set model's ``_runs`` raises EmptySetError for a sample with no
+    instance of its modalities; the concat baseline takes it as zero slots."""
+    for sample in samples:
+        model._runs(sample)
 
 
 def cmd_train(args) -> int:

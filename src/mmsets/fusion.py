@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
+from operator import gt
 
 import numpy as np
 
@@ -127,55 +129,57 @@ class ImportanceRecord:
                    fractions={m: c / len(owners_row) for m, c in counts.items()})
 
 
-def _group_by_modality(sample, modality_ids) -> dict[str, list[np.ndarray]]:
-    """A sample's payloads per id of ``modality_ids``, in that order, each list
-    in arrival order; instances of other modalities are left out."""
+def _arrival_runs(sample, modality_ids) -> list[list[np.ndarray]]:
+    """A sample's payloads per id of ``modality_ids``, in arrival order;
+    instances of other modalities are left out."""
     grouped = {mid: [] for mid in modality_ids}
     for inst in sample.instances:
         if inst.modality_id in grouped:
             grouped[inst.modality_id].append(inst.payload)
-    return grouped
+    return list(grouped.values())
 
 
-def _sorted_runs(sample, specs) -> dict[str, list[np.ndarray]]:
-    """A sample's payloads per spec, in the specs' order, each run ordered
-    by payload content and none left out. Raises EmptySetError when no
-    instance is of a modality in ``specs``."""
-    grouped = _group_by_modality(sample, [spec.modality_id for spec in specs])
-    if not any(grouped.values()):
+def _sorted_runs(sample, specs) -> list[list[np.ndarray]]:
+    """A sample's payloads per spec, in the specs' order, each run in payload
+    content order; EmptySetError when none is of a modality in ``specs``."""
+    runs = _arrival_runs(sample, [spec.modality_id for spec in specs])
+    if not any(runs):
         raise EmptySetError("no usable instances after filtering to known modalities",
                             sample_id=sample.sample_id)
-    for got in grouped.values():
-        got.sort(key=np.ndarray.tobytes)
-    return grouped
+    for run in runs:
+        run.sort(key=np.ndarray.tobytes)
+    return runs
+
+
+def _subsample(runs, caps, rng, sample_id):
+    """``runs``, each run over its cap subsampled without replacement down to
+    the cap, kept in run order. ``rng`` draws run after run; when it is None,
+    the eval stream of ``sample_id`` is derived at the first run over its cap
+    and continued across the rest."""
+    out = list(runs)
+    for k, (run, cap) in enumerate(zip(runs, caps)):
+        if len(run) > cap:
+            if rng is None:
+                rng = derive_rng("eval", sample_id)
+            out[k] = [run[i] for i in sorted(rng.choice(len(run), size=cap, replace=False))]
+    return out
 
 
 def build_set(sample, specs, rng=None):
     """A sample's set as ``{modality_id: [payload]}``, one entry per spec in
-    id order.
+    id order: each run in payload-content order, then subsampled down to the
+    modality's cap. Ordering on content, not arrival, makes the set, and so
+    every pooling reduction, independent of the instances' order.
 
-    Each list is ordered by payload content and subsampled without
-    replacement down to the modality's cap. Keying the order on content (not
-    on storage position) makes the set, and therefore every downstream
-    pooling reduction, independent of the order in which instances arrived;
-    subsampling picks positions in the sorted list, so it inherits the same
-    independence.
-
-    When ``rng`` is None the stream used by inference forwards is derived
-    from the sample id, so a standalone call reproduces exactly the set an
-    eval-mode forward sees. Instances of modalities absent from ``specs``
-    are ignored. Raises EmptySetError when nothing usable remains.
+    When ``rng`` is None the eval stream is derived from the sample id, so a
+    standalone call gives exactly the set an eval-mode forward sees.
+    Instances of modalities absent from ``specs`` are ignored. Raises
+    EmptySetError when nothing usable remains.
     """
     specs = sorted(specs, key=lambda spec: spec.modality_id)
-    grouped = _sorted_runs(sample, specs)
-    for spec in specs:
-        payloads = grouped[spec.modality_id]
-        if len(payloads) > spec.max_instances:
-            if rng is None:
-                rng = derive_rng("eval", sample.sample_id)
-            keep = rng.choice(len(payloads), size=spec.max_instances, replace=False)
-            grouped[spec.modality_id] = [payloads[i] for i in sorted(keep)]
-    return grouped
+    runs = _subsample(_sorted_runs(sample, specs), [spec.max_instances for spec in specs],
+                      rng, sample.sample_id)
+    return {spec.modality_id: run for spec, run in zip(specs, runs)}
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -292,75 +296,45 @@ class Mlp:
 
 
 class TrainingStore:
-    """A model's training samples as columns, built once per ``train`` call.
+    """A model's training samples, grouped once per ``train`` call.
 
-    Column k holds modality k's instances, sample after sample; each
-    sample's instances form one run in the model's element order, before any
-    subsampling. ``counts[i, k]`` is the length of sample i's run and
-    ``starts[i, k]`` its first row. A dense column is one [rows, M] float64
-    array, a sequence column a list of int arrays. ``hashes`` holds each
-    sample id's ``stable_hash``, which keys the sample's stream.
+    ``runs[i][k]`` is sample i's run of modality k from the model's ``_runs``;
+    a dense run is a range of rows of ``columns[k]``, the modality's payloads
+    as one [rows, M] float64 array. ``hashes[i]``, the ``stable_hash`` of
+    sample i's id, keys its stream.
     """
 
     def __init__(self, model, samples):
-        runs = [model._runs(sample) for sample in samples]
-        self.counts = np.array([[len(got) for got in run.values()] for run in runs],
-                               dtype=np.intp).reshape(len(runs), len(model.specs))
-        self.starts = np.cumsum(self.counts, axis=0) - self.counts
-        self.caps = np.array([spec.max_instances for spec in model.specs], dtype=np.intp)
-        self.columns = []
-        for spec in model.specs:
-            column = [p for run in runs for p in run[spec.modality_id]]
+        self.runs = [model._runs(sample) for sample in samples]
+        self.columns = {}
+        for k, spec in enumerate(model.specs):
             if spec.kind == DENSE:
-                column = (model.encoders[spec.modality_id].rows(column) if column
-                          else np.zeros((0, spec.input_dim)))
-            self.columns.append(column)
+                payloads = []
+                for row in self.runs:
+                    first = len(payloads)
+                    payloads += row[k]
+                    row[k] = range(first, len(payloads))
+                if payloads:
+                    self.columns[k] = model.encoders[spec.modality_id].rows(payloads)
         self.hashes = [stable_hash(sample.sample_id) for sample in samples]
-        self.dim = model.config.dim
         self._rng = np.random.Generator(np.random.PCG64())
 
-    def batch(self, idx, states):
-        """The training batch of samples ``idx``: (counts, owner, blocks, the
-        [N, dim] dropout uniforms), as ``_forward`` takes them.
-
-        Sample i's stream resumes from ``states[i]``. It draws the
-        subsampling of each of its runs over the cap, in modality order, and
-        then its run of uniforms, as ``build_set`` and ``forward_batch``
-        draw them.
-        """
-        counts = self.counts[idx]
-        sizes = np.minimum(counts, self.caps)
-        starts = self.starts[idx]
-        firsts = np.cumsum(sizes, axis=0) - sizes  # each run's first row in its block
-        rows = [np.repeat(starts[:, k] - firsts[:, k], sizes[:, k]) + np.arange(sizes[:, k].sum())
-                for k in range(len(self.columns))]
-        over = {}
-        for b, k in np.argwhere(counts > self.caps).tolist():
-            over.setdefault(b, []).append(k)
-        ends = np.cumsum(sizes.sum(axis=1)).tolist()
-        uniforms = np.empty((ends[-1], self.dim))
+    def streams(self, idx, states):
+        """Sample i of ``idx`` in turn: one reused generator, set to ``states[i]``."""
         rng = self._rng
-        for b, (i, lo, hi) in enumerate(zip(idx.tolist(), [0, *ends], ends)):
+        for i in idx.tolist():
             rng.bit_generator.state = states[i]
-            for k in over.get(b, ()):
-                keep = rng.choice(int(counts[b, k]), size=int(self.caps[k]), replace=False)
-                rows[k][firsts[b, k]:firsts[b, k] + self.caps[k]] = starts[b, k] + np.sort(keep)
-            rng.random(out=uniforms[lo:hi])
-        blocks = [column[r] if isinstance(column, np.ndarray) else [column[j] for j in r.tolist()]
-                  for column, r in zip(self.columns, rows)]
-        owner = np.repeat(np.arange(sizes.size) % sizes.shape[1], sizes.reshape(-1))
-        return sizes.tolist(), owner, blocks, uniforms
+            yield rng
 
 
 class _ModelCore:
-    """What both models share: the ModelConfig, the sorted specs, one encoder
-    per modality, the predictor, their parameters and the forward pass. A
-    subclass sets up its combine step before calling this constructor, and
-    defines ``_group`` (a sample's payloads per modality), ``_runs`` (the
-    same before any subsampling), ``_combine`` (the encoded rows, sample
-    after sample, to the predictor's input) and ``combined_dim``, its width.
-    A training batch drops out those sample-ordered rows, each sample drawing
-    its run of uniforms as one block."""
+    """What both models share: the ModelConfig, the sorted specs and their
+    caps, one encoder per modality, the predictor, their parameters and the
+    forward pass. A subclass sets up its combine step before calling this
+    constructor, and defines ``_runs`` (a sample's payloads per modality in
+    element order, not yet subsampled), ``_combine`` (the encoded rows to the
+    predictor's input) and ``combined_dim``, its width. ``_assemble`` makes
+    every batch, training or inference, from the runs."""
 
     def __init__(self, specs, num_classes: int, seed: int, config: dict):
         ids = [s.modality_id for s in specs]
@@ -371,6 +345,7 @@ class _ModelCore:
         check_int("num_classes", num_classes)
         self.specs = tuple(sorted(specs, key=lambda s: s.modality_id))
         self.modality_ids = tuple(s.modality_id for s in self.specs)
+        self.caps = tuple(s.max_instances for s in self.specs)
         self.num_classes = num_classes
         self.config = cfg = ModelConfig(**config)
         rng = derive_rng(seed, "init")
@@ -393,54 +368,68 @@ class _ModelCore:
     def forward_batch(self, samples, rngs=None):
         """Group, encode, combine and predict: (logits [B,C], owners).
 
-        ``rngs``, one stream per sample, makes a training batch: each sample
-        draws its subsampling and then the dropout uniforms of its own run of
-        rows from its own stream. Without them a stream derived from each
-        sample id subsamples, so inference repeats bit for bit. A sample's
-        logits do not depend on its batch beyond floating-point rounding.
-        ``owners[b, d]`` indexes in ``modality_ids`` the modality that won
-        pooled dimension d of sample b under max/min pooling; ``owners`` is
-        None for sum/mean and ConcatModel.
+        ``rngs``, one stream per sample, makes a training batch (see
+        ``_assemble``); without them inference repeats bit for bit. A
+        sample's logits do not depend on its batch beyond floating-point
+        rounding. ``owners[b, d]`` indexes in ``modality_ids`` the modality
+        that won pooled dimension d of sample b under max/min pooling;
+        ``owners`` is None for sum/mean and ConcatModel.
         """
         if rngs is not None and len(rngs) != len(samples):
             raise ValueError(f"got {len(rngs)} rngs for {len(samples)} samples")
-        groups = [self._group(s, None if rngs is None else rngs[b])
-                  for b, s in enumerate(samples)]
-        counts = [[len(got) for got in group.values()] for group in groups]
-        owner = np.array([i for group in groups for i, got in enumerate(group.values())
-                          for _ in got], dtype=np.intp)
-        blocks = [[p for group in groups for p in group[mid]] for mid in self.modality_ids]
-        uniforms = None
-        if rngs is not None:
-            uniforms = np.empty((owner.size, self.config.dim))
-            ends = np.cumsum([sum(row) for row in counts]).tolist()
-            for rng, lo, hi in zip(rngs, [0, *ends], ends):
-                rng.random(out=uniforms[lo:hi])
-        return self._forward(counts, owner, blocks, uniforms)
+        return self._forward(*self._assemble([self._runs(s) for s in samples], rngs,
+                                             [s.sample_id for s in samples]))
 
     def training_store(self, samples) -> TrainingStore:
-        """The columnar view of ``samples`` that ``forward_store`` draws
-        batches from. A dense payload of the wrong shape raises ValueError,
-        and for FusionModel a sample with no usable instance EmptySetError,
-        as a forward of that sample would."""
+        """The grouped ``samples`` that ``forward_store`` draws batches from; a
+        bad dense payload or a set model's empty sample raises as in a forward."""
         return TrainingStore(self, samples)
 
     def forward_store(self, store: TrainingStore, idx, states):
-        """The training batch of the store's samples ``idx`` (an int array),
-        sample i's stream resuming from ``states[i]``: equal, bit for bit,
-        to ``forward_batch`` of those samples with those streams."""
-        return self._forward(*store.batch(idx, states))
+        """The training batch of the store's samples ``idx``, sample i's stream
+        resuming from ``states[i]``: ``forward_batch`` of them, bit for bit."""
+        counts, owner, blocks, uniforms = self._assemble([store.runs[i] for i in idx.tolist()],
+                                                         store.streams(idx, states))
+        for k, column in store.columns.items():
+            blocks[k] = column.take(blocks[k], axis=0)
+        return self._forward(counts, owner, blocks, uniforms)
+
+    def _assemble(self, runs, rngs=None, ids=None):
+        """The batch of sample runs ``runs[b]`` as ``_forward`` takes it:
+        (counts, owner, blocks, uniforms).
+
+        With ``rngs``, sample after sample draws from its stream the
+        subsampling of its runs over their cap, in modality order, then the
+        dropout uniforms of its rows. Without them the uniforms are None, and
+        sample b subsamples from the eval stream of ``ids[b]``.
+        """
+        counts, blocks, lo = [], [[] for _ in self.caps], 0
+        if rngs is not None:  # rows for the runs before subsampling; the batch takes the first
+            uniforms = np.empty((sum(map(len, chain.from_iterable(runs))), self.config.dim))
+        for row, rng, sample_id in zip(runs, repeat(None) if rngs is None else rngs,
+                                       repeat(None) if ids is None else ids):
+            sizes = list(map(len, row))
+            if any(map(gt, sizes, self.caps)):
+                row = _subsample(row, self.caps, rng, sample_id)
+                sizes = list(map(len, row))
+            counts.append(sizes)
+            for block, run in zip(blocks, row):
+                block.extend(run)
+            if rng is not None:
+                rng.random(out=uniforms[lo:lo + sum(sizes)])
+                lo += sum(sizes)
+        owner = np.array([*range(len(self.caps))] * len(runs), dtype=np.intp).repeat(
+            list(chain.from_iterable(counts)))
+        return counts, owner, blocks, None if rngs is None else uniforms[:lo]
 
     def _forward(self, counts, owner, blocks, uniforms):
         """Encode, drop out, combine and predict one batch: (logits, owners).
 
-        The elements are numbered sample after sample, and within a sample
-        modality after modality. ``counts[b][k]``, a list of int lists, is
-        sample b's number of elements of modality k, and ``owner[i]``
-        indexes in ``modality_ids`` the modality of element i. ``blocks[k]``
-        holds modality k's payloads, sample after sample. ``uniforms``,
-        [N, D] in element order, are a training batch's dropout draws, None
-        at inference.
+        Elements are numbered sample after sample, modality after modality
+        within a sample. ``counts[b][k]`` is sample b's number of elements of
+        modality k, ``owner[i]`` the index in ``modality_ids`` of element i's
+        modality, ``blocks[k]`` modality k's payloads, sample after sample,
+        and ``uniforms`` [N, D] a training batch's dropout draws (else None).
         """
         x = self._encode(blocks, owner)
         if uniforms is not None:
@@ -449,12 +438,9 @@ class _ModelCore:
         return self.predictor(x), owners
 
     def _encode(self, blocks, owner):
-        """Encode every element of a batch: [N, D] rows in element order.
-
-        ``blocks[k]`` holds modality k's payloads and ``owner`` each
-        element's modality. The encoders run one block per modality, and one
-        scatter puts their rows back in element order.
-        """
+        """Encode every element of a batch: [N, D] rows in element order. The
+        encoders run one block per modality, and one scatter puts their rows
+        back in element order."""
         if owner.size == 0:
             return T.Tensor(np.zeros((0, self.config.dim)))
         rows = T.concat([self.encoders[mid].encode(block)
@@ -502,9 +488,6 @@ class FusionModel(_ModelCore):
             raise ValueError(f"pool must be one of {T.POOL_MODES}, got {mode!r}")
         self._pool = mode
 
-    def _group(self, sample, rng):
-        return build_set(sample, self.specs, rng)
-
     def _runs(self, sample):
         return _sorted_runs(sample, self.specs)
 
@@ -535,23 +518,19 @@ class ConcatModel(_ModelCore):
     def combined_dim(self) -> int:
         return sum(self.slots.values()) * self.config.dim
 
-    def _group(self, sample, rng):
-        group = _group_by_modality(sample, self.modality_ids)
-        for mid, got in group.items():
-            del got[self.slots[mid]:]
-        return group
-
     def _runs(self, sample):
-        return self._group(sample, None)
+        runs = _arrival_runs(sample, self.modality_ids)
+        for run, cap in zip(runs, self.caps):
+            del run[cap:]
+        return runs
 
     def _combine(self, counts, x, owner):
         """Row b of the [B, sum(slots)*D] result is sample b's slot vector."""
-        n_slots = sum(self.slots.values())
-        slots = [self.slots[mid] for mid in self.modality_ids]
+        n_slots = sum(self.caps)
         slot_rows = []
         for b, row in enumerate(counts):
             first = b * n_slots
-            for got, n in zip(row, slots):
+            for got, n in zip(row, self.caps):
                 slot_rows.extend(range(first, first + got))
                 first += n
         shape = (len(counts), n_slots * self.config.dim)

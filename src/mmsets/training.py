@@ -204,14 +204,15 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
         task: "single_label" or "multi_label", for the logged accuracy.
         on_epoch: optional callback receiving each epoch's log record.
 
-    The model's columnar store of the samples is built once, so a dense
-    payload of the wrong shape or an empty set fails before epoch 0. Each
-    epoch shuffles the sample order, derives every sample's stream at once
-    (each equal to ``sample_rng(config.seed, epoch, sample_id)``) and walks
-    minibatches. A minibatch is one batched forward pass, in which every
-    sample draws from its own stream, and one backward pass of the
-    batch-mean loss, then one optimizer step. A non-finite loss raises
-    NumericError naming the batch's first sample whose loss is not finite.
+    The model's ``training_store`` groups the samples once per call, so a
+    dense payload of the wrong shape or an empty set fails before epoch 0.
+    Each epoch shuffles the samples and derives every sample's stream at
+    once, each equal to ``sample_rng(config.seed, epoch, sample_id)``. A
+    minibatch is one forward pass, each sample drawing from its own stream,
+    one backward pass of the batch-mean loss and one optimizer step. A
+    non-finite loss raises NumericError naming the batch's first such
+    sample; a failed step's NumericError is re-raised prefixed with the
+    epoch and the batch's sample ids, in batch order.
     """
     if not samples:
         raise DataError("cannot train on an empty dataset")
@@ -246,7 +247,11 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
             loss_sum += float(loss_values.sum())
             acc_sum += float(_accuracy_terms(T.sigmoid_values(logits.data),
                                              labels[batch_idx], task).sum())
-            adamw_step(state, lr)
+            try:
+                adamw_step(state, lr)
+            except NumericError as err:
+                ids = [samples[i].sample_id for i in batch_idx]
+                raise NumericError(f"epoch {epoch}, batch of samples {ids}: {err}") from err
         record = {
             "epoch": epoch,
             "lr": lr,

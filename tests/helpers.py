@@ -9,7 +9,7 @@ import numpy as np
 
 import mmsets.tensor as T
 from mmsets.data import ModalityInstance, Sample
-from mmsets.fusion import ModalitySpec
+from mmsets.fusion import ConcatModel, ModalitySpec, build_set
 from mmsets.seeding import derive_rng, sample_rng
 from mmsets.tensor import Tensor, accumulate_grad, register_op, sigmoid_values
 from mmsets.training import (AdamWState, _accuracy_terms, adamw_step,
@@ -82,10 +82,26 @@ def shuffled_copy(sample: Sample, rng: np.random.Generator) -> Sample:
                   labels=sample.labels, group=sample.group)
 
 
+def reference_batch(model, samples, rngs):
+    """A training batch as ``_forward`` takes it, made per sample without the
+    model's assembler: the set (``build_set``, or arrival order cut to the
+    slots for ConcatModel), then its dropout uniforms, from its stream."""
+    groups, uniforms = [], []
+    for sample, rng in zip(samples, rngs):
+        groups.append(build_set(sample, model.specs, rng) if not isinstance(model, ConcatModel)
+                      else {mid: [i.payload for i in sample.instances if i.modality_id == mid][:n]
+                            for mid, n in sorted(model.slots.items())})
+        uniforms.append(rng.random((sum(map(len, groups[-1].values())), model.config.dim)))
+    counts = [[len(run) for run in group.values()] for group in groups]
+    owner = np.array([k for row in counts for k, n in enumerate(row) for _ in range(n)], np.intp)
+    blocks = [[p for group in groups for p in group[mid]] for mid in model.modality_ids]
+    return counts, owner, blocks, np.concatenate(uniforms)
+
+
 def reference_train(model, samples, config, task="single_label") -> list[dict]:
-    """``train`` as a plain loop: every batch is ``forward_batch`` of its
-    samples, each with a fresh ``sample_rng`` stream, then the loss, one
-    backward pass and one AdamW step. ``train`` must match it bit for bit."""
+    """``train`` as a plain loop: per batch, ``reference_batch`` with fresh
+    ``sample_rng`` streams, the forward, the loss, one backward pass and one
+    AdamW step. ``train`` must match it bit for bit."""
     state = AdamWState(model.named_parameters(), weight_decay=config.weight_decay)
     labels = np.stack([s.labels for s in samples])
     weights = (inverse_sqrt_class_weights(labels) if config.class_weighting
@@ -99,9 +115,9 @@ def reference_train(model, samples, config, task="single_label") -> list[dict]:
             batch_idx = order[start:start + config.batch_size]
             batch = [samples[i] for i in batch_idx]
             state.grad.fill(0.0)
-            rngs = [sample_rng(config.seed, epoch, s.sample_id) for s in batch]
             with T.Tape():
-                logits, _ = model.forward_batch(batch, rngs)
+                logits, _ = model._forward(*reference_batch(
+                    model, batch, [sample_rng(config.seed, epoch, s.sample_id) for s in batch]))
                 losses = weighted_sigmoid_ce(logits, labels[batch_idx], weights)
             T.backward(losses, np.full(losses.shape, 1.0 / len(batch)))
             loss_sum += float(losses.data[:, 0].sum())

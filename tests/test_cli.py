@@ -450,6 +450,26 @@ def test_numeric_failure_is_one_line_without_warnings(tmp_path, capsys, config, 
     assert err.count("\n") == 1 and err.startswith("numeric error: "), err
 
 
+def test_failed_optimizer_step_names_the_batch(tmp_path, capsys):
+    """A 1e308 payload passes the data checks and first overflows an AdamW
+    moment; the error names the epoch and the batch's samples, in order."""
+    data = gen_dataset(tmp_path, ["--samples", "120"])
+    lines = (data / "samples.jsonl").read_text().splitlines()
+    for n, line in enumerate(lines):
+        sample = json.loads(line)
+        if sample["sample_id"] == "s00007":
+            next(i for i in sample["instances"] if i["modality"] == "m0")["payload"][0] = 1e308
+            lines[n] = json.dumps(sample)
+    (data / "samples.jsonl").write_text("\n".join(lines) + "\n")
+    code = main(["train", "--data", str(data), "--epochs", "3", "--warmup-epochs", "1",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric error: epoch 0, batch of samples ["), err
+    assert "'s00007'" in err and err.rstrip().endswith(
+        "AdamW step 3 would make parameter 'encoder.m0.weight' non-finite"), err
+
+
 @pytest.mark.parametrize("flags,outputs", [
     (["train"], ["checkpoint.json"]),
     (["eval", "--kfold", "2", "--importance"],

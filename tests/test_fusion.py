@@ -8,8 +8,9 @@ from mmsets.evaluate import predict_scores
 from mmsets.fusion import (ConcatModel, DenseEncoder, FusionModel, ImportanceRecord, Mlp,
                            ModalitySpec, ModelConfig, SequenceEncoder, aggregate_importance,
                            build_set)
-from helpers import (central_diff, max_rel_err, mixed_specs, random_sample, shuffled_copy,
-                     sum_all)
+from mmsets.seeding import derive_rng
+from helpers import (central_diff, max_rel_err, mixed_specs, random_sample, reference_batch,
+                     shuffled_copy, sum_all)
 
 
 def encode_groups(model, groups):
@@ -431,21 +432,15 @@ def test_each_sample_drops_out_its_own_run_of_rows(monkeypatch, model_class):
     model.forward_batch(samples, [np.random.default_rng(200 + b) for b in range(len(samples))])
     ((rows, p, uniforms),) = seen
     assert p == model.config.dropout_p
-    groups, runs = [], []
-    for b, sample in enumerate(samples):
-        rng = np.random.default_rng(200 + b)
-        groups.append(model._group(sample, rng))  # the subsampling draws come first
-        runs.append(rng.random((sum(map(len, groups[-1].values())), model.config.dim)))
-    bounds = np.cumsum([0] + [len(run) for run in runs])
-    for b, run in enumerate(runs):
-        assert uniforms[bounds[b]:bounds[b + 1]].tobytes() == run.tobytes(), b
-    assert len(uniforms) == bounds[-1]
+    # the per-sample oracle draws each sample's subsampling, then its uniforms
+    _, owner, blocks, expected = reference_batch(
+        model, samples, [np.random.default_rng(200 + b) for b in range(len(samples))])
+    assert uniforms.tobytes() == expected.tobytes()
     # each modality encoded as one block, as the model does, then dealt out
     # to the samples in turn
-    blocks = {mid: iter(model.encoders[mid].encode([q for g in groups for q in g[mid]]).data)
-              for mid in model.modality_ids if any(g[mid] for g in groups)}
-    expected = [next(blocks[mid]) for g in groups for mid, got in g.items() for _ in got]
-    assert rows.tobytes() == np.array(expected).tobytes()
+    encoded = [iter(model.encoders[mid].encode(block).data) if block else None
+               for mid, block in zip(model.modality_ids, blocks)]
+    assert rows.tobytes() == np.array([next(encoded[k]) for k in owner]).tobytes()
 
 
 class TestConcatBaseline:
@@ -536,17 +531,31 @@ class TestAggregateImportance:
 
 def test_standalone_build_set_matches_eval_forward_subsample():
     # over the cap: the default rng stream must reproduce what an eval
-    # forward samples, so oracles can reuse build_set(rng=None)
-    specs = [ModalitySpec("face", "dense", input_dim=3, max_instances=2)]
-    model = FusionModel(specs, num_classes=2, dim=6, pool="max", seed=0)
-    rng = np.random.default_rng(21)
-    sample = make_sample({"face": [rng.standard_normal(3) for _ in range(7)]},
-                         sample_id="sub1")
-    rows = encode_groups(model, build_set(sample, specs, None))
-    expected = rows.max(axis=0, keepdims=True)
-    pooled = model.predictor(T.Tensor(expected))
-    logits, _ = model.forward(sample)
-    assert np.array_equal(pooled.data, logits.data)
+    # forward samples, so oracles can reuse build_set(rng=None); with two
+    # modalities over their caps, one stream is derived and continued
+    for caps, sizes in (({"face": 2}, {"face": 7}),
+                        ({"face": 2, "voice": 3}, {"face": 7, "voice": 6})):
+        specs = [ModalitySpec(mid, "dense", input_dim=3, max_instances=cap)
+                 for mid, cap in caps.items()]
+        model = FusionModel(specs, num_classes=2, dim=6, pool="max", seed=0)
+        rng = np.random.default_rng(21)
+        payloads = {mid: [rng.standard_normal(3) for _ in range(n)] for mid, n in sizes.items()}
+        sample = make_sample(payloads, sample_id="sub1")
+        stream = derive_rng("eval", "sub1")  # derived once, continued across modalities
+        expected_set = {}
+        for mid, cap in sorted(caps.items()):
+            run = sorted(payloads[mid], key=np.ndarray.tobytes)
+            expected_set[mid] = [run[i] for i in sorted(stream.choice(len(run), cap, False))]
+        got = build_set(sample, specs, None)
+        assert {mid: np.array(run).tobytes() for mid, run in got.items()} == {
+            mid: np.array(run).tobytes() for mid, run in expected_set.items()}
+        rows = encode_groups(model, got)
+        assert len(rows) == sum(caps.values())
+        for pool, reduce in (("max", np.max), ("min", np.min)):
+            model.pool = pool
+            expected = model.predictor(T.Tensor(reduce(rows, axis=0, keepdims=True)))
+            logits, _ = model.forward(sample)
+            assert np.array_equal(expected.data, logits.data), (caps, pool)
 
 
 def test_invalid_pool_rejected_on_build_and_reassign():
