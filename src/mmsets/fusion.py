@@ -511,12 +511,15 @@ class ConcatModel(_ModelCore):
     forward = _ModelCore.forward  # perfbench/tracing.installed finds it via vars(cls)
 
     def __init__(self, specs, num_classes: int, *, seed: int = 0, **config):
-        self.slots = {s.modality_id: s.max_instances for s in specs}
         super().__init__(specs, num_classes, seed, config)
 
     @property
+    def slots(self) -> dict[str, int]:
+        return dict(zip(self.modality_ids, self.caps))
+
+    @property
     def combined_dim(self) -> int:
-        return sum(self.slots.values()) * self.config.dim
+        return sum(self.caps) * self.config.dim
 
     def _runs(self, sample):
         runs = _arrival_runs(sample, self.modality_ids)

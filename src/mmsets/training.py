@@ -206,13 +206,15 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
 
     The model's ``training_store`` groups the samples once per call, so a
     dense payload of the wrong shape or an empty set fails before epoch 0.
-    Each epoch shuffles the samples and derives every sample's stream at
-    once, each equal to ``sample_rng(config.seed, epoch, sample_id)``. A
-    minibatch is one forward pass, each sample drawing from its own stream,
-    one backward pass of the batch-mean loss and one optimizer step. A
-    non-finite loss raises NumericError naming the batch's first such
-    sample; a failed step's NumericError is re-raised prefixed with the
-    epoch and the batch's sample ids, in batch order.
+    Each epoch shuffles the samples with the stream keyed ``(seed,
+    "shuffle", epoch)``, and sample ``id`` draws from the stream keyed
+    ``(seed, epoch, id)``, the one ``sample_rng`` gives; ``sample_states``
+    derives every sample's start state at once (FORMATS.md, "Random
+    streams"). A minibatch is one forward pass, each sample drawing from
+    its own stream, one backward pass of the batch-mean loss and one
+    optimizer step. A non-finite loss raises NumericError naming the
+    batch's first such sample; a failed step's NumericError is re-raised
+    prefixed with the epoch and the batch's sample ids, in batch order.
     """
     if not samples:
         raise DataError("cannot train on an empty dataset")

@@ -424,10 +424,12 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
 
 
 def _payload_set_to_1e308(bad, data):
-    """A dataset copy whose first sample's first payload holds 1e308."""
+    """A dataset copy whose first sample holds 1e308 in every entry of every
+    payload, so training fails whatever its streams draw."""
     lines = (data / "samples.jsonl").read_text().splitlines()
     first = json.loads(lines[0])
-    first["instances"][0]["payload"][0] = 1e308
+    for instance in first["instances"]:
+        instance["payload"] = [1e308] * len(instance["payload"])
     lines[0] = json.dumps(first)
     _dataset_copy(**{"samples.jsonl": ("\n".join(lines) + "\n").encode()})(bad, data)
 

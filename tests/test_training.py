@@ -388,11 +388,11 @@ class TestTrain:
             train(_tiny_model(), [], TrainConfig(epochs=1, warmup_epochs=0))
 
     def test_non_finite_loss_names_the_sample(self):
-        # an overflowing payload in the middle of a batch: the error names
+        # an infinite payload in the middle of a batch: the error names
         # that sample, not the batch's first one
         samples = _tiny_dataset(8, seed=15)
         bad = samples[5]
-        samples[5] = Sample(bad.sample_id, [ModalityInstance("x", np.full(4, 1e308))],
+        samples[5] = Sample(bad.sample_id, [ModalityInstance("x", np.full(4, np.inf))],
                             bad.labels)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError,
