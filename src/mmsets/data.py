@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,97 +102,133 @@ def _manifest_from_dict(obj: dict, origin: str) -> DatasetManifest:
                            task=obj["task"], sample_count=count)
 
 
-def _parse_payload(raw, spec: ModalitySpec, sample_id: str, fld: str) -> np.ndarray:
-    if not isinstance(raw, list) or not raw:
-        raise DataError("payload must be a nonempty list", sample_id, fld)
-    if spec.kind == DENSE:
+class _Column:
+    """One modality's payloads in file order, their numbers in one flat
+    buffer. ``add`` checks each payload's types (and dense length) as it
+    comes; ``_check_ranges`` checks the values of every column at once."""
+
+    def __init__(self, spec: ModalitySpec):
+        self.width = spec.input_dim if spec.kind == DENSE else None
+        self.buf = array("d" if self.width else "q")
+        self.dtype = np.float64 if self.width else np.int64
+        self.types = {int, float} if self.width else {int}
+        self.vocab_size = spec.vocab_size
+        self.range_message = ("dense payload must be finite" if self.width else
+                              f"index out of vocabulary range [0, {spec.vocab_size})")
+        # each payload's end in buf, (line_no, instance index, sample_id) and instance
+        self.ends, self.where, self.instances = [], [], []
+
+    def add(self, raw, where, instance) -> None:
+        """Append one payload's numbers; ValueError names the fault."""
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("payload must be a nonempty list")
+        if not self.types.issuperset(map(type, raw)):
+            raise ValueError("dense payload must contain numbers" if self.width
+                             else "index payload must contain integers")
+        if self.width and len(raw) != self.width:
+            raise ValueError(f"dense payload must have length {self.width}, got {len(raw)}")
         try:
-            arr = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise DataError("dense payload must contain numbers", sample_id, fld)
-        if arr.ndim != 1 or arr.shape[0] != spec.input_dim:
-            raise DataError(
-                f"dense payload must have length {spec.input_dim}, got {len(raw)}",
-                sample_id, fld)
-        if not np.all(np.isfinite(arr)):
-            raise DataError("dense payload must be finite", sample_id, fld)
-        return arr
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in raw):
-        raise DataError("index payload must contain integers", sample_id, fld)
-    arr = np.asarray(raw, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= spec.vocab_size:
-        raise DataError(
-            f"index out of vocabulary range [0, {spec.vocab_size})", sample_id, fld)
-    return arr
+            self.buf.fromlist(raw)
+        except OverflowError:
+            raise ValueError(self.range_message) from None
+        self.ends.append(len(self.buf))
+        self.where.append(where)
+        self.instances.append(instance)
 
 
-def _parse_sample(obj: dict, manifest: DatasetManifest, line_no: int) -> Sample:
-    if not isinstance(obj, dict):
-        raise DataError(f"line {line_no}: sample must be a JSON object")
-    sample_id = obj.get("sample_id")
-    if not isinstance(sample_id, str) or not sample_id:
-        raise DataError(f"line {line_no}: sample_id must be a nonempty string")
-    labels = obj.get("labels")
-    C = manifest.num_classes
-    if (not isinstance(labels, list) or len(labels) != C
-            or not all(type(v) is int and v in (0, 1) for v in labels)):
-        raise DataError(f"labels must be a list of {C} integers, each 0 or 1",
-                        sample_id, "labels")
-    if manifest.task == "single_label" and sum(labels) != 1:
-        raise DataError("single_label sample must have exactly one positive label",
-                        sample_id, "labels")
-    group = obj.get("group")
-    if group is not None and not isinstance(group, str):
-        raise DataError("group must be a string when present", sample_id, "group")
-    raw_instances = obj.get("instances")
-    if not isinstance(raw_instances, list) or not raw_instances:
-        raise DataError("instances must be a nonempty list", sample_id, "instances")
-    spec_by_id = {s.modality_id: s for s in manifest.modalities}
-    instances = []
-    for i, inst in enumerate(raw_instances):
-        fld = f"instances[{i}]"
-        if not isinstance(inst, dict) or "modality" not in inst or "payload" not in inst:
-            raise DataError("instance needs 'modality' and 'payload'", sample_id, fld)
-        mid = inst["modality"]
-        if not isinstance(mid, str) or mid not in spec_by_id:
-            raise DataError(f"unknown modality {mid!r}", sample_id, fld)
-        payload = _parse_payload(inst["payload"], spec_by_id[mid], sample_id,
-                                 f"{fld}.payload")
-        instances.append(ModalityInstance(mid, payload))
-    return Sample(sample_id=sample_id, instances=instances,
-                  labels=np.asarray(labels, dtype=np.int64), group=group)
+def _check_ranges(columns) -> None:
+    """Raise DataError for the first payload in file order with a value out of range."""
+    faults = []
+    for col in columns:
+        values = np.frombuffer(col.buf, col.dtype)
+        bad = ~np.isfinite(values) if col.width else (values < 0) | (values >= col.vocab_size)
+        if bad.any():
+            k = np.searchsorted(col.ends, bad.argmax(), side="right")
+            faults.append((col.where[k], col.range_message))
+    if faults:
+        (_, i, sample_id), message = min(faults)
+        raise DataError(message, sample_id, f"instances[{i}].payload") from None
 
 
 def load_dataset(manifest_path, samples_path) -> tuple[DatasetManifest, list[Sample]]:
     """Load and fully validate a dataset.
 
     Every malformed record raises DataError naming the sample and field;
-    nothing is skipped silently.
+    nothing is skipped silently. When a file has several faults, the first
+    in file order is reported. Each modality's payloads are read into one
+    float64 (dense) or int64 (index_sequence) array, checked once, and every
+    payload is a row view of it.
     """
     manifest_path = Path(manifest_path)
     samples_path = Path(samples_path)
     manifest = _manifest_from_dict(read_json_object(manifest_path, DataError),
                                    manifest_path.name)
+    columns = {s.modality_id: _Column(s) for s in manifest.modalities}
+    C = manifest.num_classes
 
     samples = []
     seen: set[str] = set()
     lines = read_text(samples_path, DataError).splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataError(f"line {line_no} is not valid JSON: {exc}",
-                            field=str(samples_path))
-        sample = _parse_sample(obj, manifest, line_no)
-        if sample.sample_id in seen:
-            raise DataError("duplicate sample_id", sample.sample_id)
-        seen.add(sample.sample_id)
-        samples.append(sample)
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise DataError(f"line {line_no} is not valid JSON: {exc}",
+                                field=str(samples_path))
+            if not isinstance(obj, dict):
+                raise DataError(f"line {line_no}: sample must be a JSON object")
+            sample_id = obj.get("sample_id")
+            if not isinstance(sample_id, str) or not sample_id:
+                raise DataError(f"line {line_no}: sample_id must be a nonempty string")
+            labels = obj.get("labels")
+            if (not isinstance(labels, list) or len(labels) != C
+                    or not all(type(v) is int and v in (0, 1) for v in labels)):
+                raise DataError(f"labels must be a list of {C} integers, each 0 or 1",
+                                sample_id, "labels")
+            if manifest.task == "single_label" and sum(labels) != 1:
+                raise DataError("single_label sample must have exactly one positive label",
+                                sample_id, "labels")
+            group = obj.get("group")
+            if group is not None and not isinstance(group, str):
+                raise DataError("group must be a string when present", sample_id, "group")
+            raw_instances = obj.get("instances")
+            if not isinstance(raw_instances, list) or not raw_instances:
+                raise DataError("instances must be a nonempty list", sample_id, "instances")
+            instances = []
+            for i, inst in enumerate(raw_instances):
+                if not isinstance(inst, dict) or "modality" not in inst or "payload" not in inst:
+                    raise DataError("instance needs 'modality' and 'payload'",
+                                    sample_id, f"instances[{i}]")
+                mid = inst["modality"]
+                col = columns.get(mid) if isinstance(mid, str) else None
+                if col is None:
+                    raise DataError(f"unknown modality {mid!r}", sample_id, f"instances[{i}]")
+                instances.append(ModalityInstance(mid, None))
+                try:
+                    col.add(inst["payload"], (line_no, i, sample_id), instances[-1])
+                except ValueError as exc:
+                    raise DataError(str(exc), sample_id, f"instances[{i}].payload") from None
+            if sample_id in seen:
+                raise DataError("duplicate sample_id", sample_id)
+            seen.add(sample_id)
+            samples.append(Sample(sample_id=sample_id, instances=instances,
+                                  labels=np.asarray(labels, dtype=np.int64), group=group))
+    except DataError:
+        _check_ranges(columns.values())  # an earlier payload's fault comes first
+        raise
+    _check_ranges(columns.values())
     if len(samples) != manifest.sample_count:
         raise DataError(
             f"manifest declares {manifest.sample_count} samples, file has {len(samples)}")
+    for col in columns.values():
+        values = np.frombuffer(col.buf, col.dtype)
+        rows = (values.reshape(-1, col.width) if col.width else
+                [values[a:b] for a, b in zip([0, *col.ends], col.ends)])
+        for instance, row in zip(col.instances, rows):
+            instance.payload = row
     return manifest, samples
 
 

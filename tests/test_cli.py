@@ -8,12 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mmsets.checkpoint import load_checkpoint
 from mmsets.cli import (EVAL_DEFAULTS, GEN_DEFAULTS, MODEL_DEFAULTS, TRAIN_DEFAULTS,
                         build_parser, main)
+from mmsets.data import DatasetManifest, save_dataset
 from mmsets.errors import DataError
+
+from helpers import mixed_specs, random_sample
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -729,3 +733,60 @@ def test_mutated_inputs_end_in_an_exit_code(tmp_path):
         except Exception as exc:
             pytest.fail(f"case {case}: {name} holding {files[name][:300]!r} raised {exc!r}")
         assert code in (0, 1, 2, 3)
+
+
+def _with_payload_entry(line: str, instance: int, entry: int, raw: str) -> str:
+    """The sample line with one payload entry replaced by the JSON text ``raw``."""
+    sample = json.loads(line)
+    sample["instances"][instance]["payload"][entry] = "@entry@"
+    return json.dumps(sample).replace('"@entry@"', raw)
+
+
+def test_int_beyond_float64_in_a_payload_exits_2(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    lines = (data / "samples.jsonl").read_text().splitlines()
+    lines[1] = _with_payload_entry(lines[1], 0, 0, str(2**1100))
+    (data / "samples.jsonl").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "runs"
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("data error: sample 's00001': instances[0].payload: "
+                                       "dense payload must be finite\n")
+    assert not out.exists()
+
+
+# payload entries no modality accepts, as JSON text; the big ints only fail
+# in an index payload, since a dense one holds them as finite floats
+BAD_ENTRIES = [str(2**64), str(-2**64), '"1.0"', "true", "null", "1e400", "[1]"]
+
+
+def test_mutated_payloads_exit_2(tmp_path):
+    """Property test: with one random payload entry of one sample line set to
+    a value from BAD_ENTRIES, ``main`` returns 2."""
+    rng = np.random.default_rng(0)
+    manifest = DatasetManifest(modalities=mixed_specs(), class_names=["a", "b"],
+                               task="single_label", sample_count=6)
+    save_dataset(manifest, [random_sample(rng, manifest.modalities, f"s{k}") for k in range(6)],
+                 tmp_path / "data")
+    valid = (tmp_path / "data" / "samples.jsonl").read_text().splitlines()
+    pick = random.Random(0)
+    for case in range(60):
+        raw = pick.choice(BAD_ENTRIES)
+        kinds = ("obj",) if raw.lstrip("-").isdigit() else ("img", "obj")
+        n = pick.randrange(len(valid))
+        instances = json.loads(valid[n])["instances"]
+        spots = [(i, k) for i, inst in enumerate(instances) if inst["modality"] in kinds
+                 for k in range(len(inst["payload"]))]
+        if not spots:
+            continue
+        lines = list(valid)
+        lines[n] = _with_payload_entry(lines[n], *pick.choice(spots), raw)
+        case_dir = tmp_path / f"case{case}"
+        case_dir.mkdir()
+        shutil.copy(tmp_path / "data" / "manifest.json", case_dir)
+        (case_dir / "samples.jsonl").write_text("\n".join(lines) + "\n")
+        try:
+            code = main(["train", "--data", str(case_dir), "--epochs", "1",
+                         "--warmup-epochs", "0", "--out", str(case_dir / "runs")])
+        except Exception as exc:
+            pytest.fail(f"case {case}: {lines[n]!r} raised {exc!r}")
+        assert code == 2, lines[n]

@@ -8,6 +8,8 @@ from mmsets.data import (DatasetManifest, SyntheticConfig, generate_synthetic,
 from mmsets.errors import DataError
 from mmsets.fusion import ModalitySpec
 
+from helpers import mixed_specs, random_sample
+
 
 def small_manifest():
     return DatasetManifest(
@@ -167,10 +169,84 @@ class TestLoader:
             sample_line(instances=[{"modality": ["img"], "payload": [1.0, 2.0, 3.0]}]),
             sample_line(instances=[{"modality": {}, "payload": [1.0, 2.0, 3.0]}]),
         ]
-        for bad in cases:
+        # dense entries are JSON numbers: no strings, booleans, null or lists
+        not_numbers = [["1.5", True, 0], [1.0, None, 2.0], ["1.5", True, None],
+                       [[1, 2], [3, 4], [5, 6]], [0.5, False, 1.0], ["x", 1.0, 2.0]]
+        exact = [(sample_line(instances=[{"modality": "img", "payload": payload}]),
+                  "sample 's1': instances[0].payload: dense payload must contain numbers")
+                 for payload in not_numbers]
+        for bad, message in [(case, None) for case in cases] + exact:
             paths = write_dataset(tmp_path, small_manifest().to_dict(), [bad])
-            with pytest.raises(DataError):
+            with pytest.raises(DataError) as info:
                 load_dataset(*paths)
+            assert message is None or str(info.value) == message, bad
+
+    @pytest.mark.parametrize("modality,number,message", [
+        ("obj", 2**63, "index out of vocabulary range [0, 5)"),
+        ("obj", -2**64, "index out of vocabulary range [0, 5)"),
+        ("img", 2**1100, "dense payload must be finite"),
+    ], ids=["index-2**63", "index--2**64", "dense-2**1100"])
+    def test_numbers_out_of_machine_range_are_data_errors(self, tmp_path, modality, number,
+                                                          message):
+        payload = [1, number, 2] if modality == "obj" else [0.5, number, 1.0]
+        bad = sample_line(instances=[{"modality": "img", "payload": [0.5, -1.0, 2.0]},
+                                     {"modality": modality, "payload": payload}])
+        paths = write_dataset(tmp_path, small_manifest().to_dict(), [bad])
+        with pytest.raises(DataError) as info:
+            load_dataset(*paths)
+        assert str(info.value) == f"sample 's1': instances[1].payload: {message}"
+
+    def test_payloads_equal_their_json_values(self, tmp_path):
+        rng = np.random.default_rng(4)
+        manifest = DatasetManifest(modalities=mixed_specs(), class_names=["a", "b"],
+                                   task="single_label", sample_count=30)
+        samples = [random_sample(rng, manifest.modalities, f"s{k}") for k in range(30)]
+        samples[3].group = "g"
+        assert any(len({i.modality_id for i in s.instances}) == 1 for s in samples)
+        save_dataset(manifest, samples, tmp_path)
+        lines = (tmp_path / "samples.jsonl").read_text().splitlines()
+        _, loaded = load_dataset_dir(tmp_path)
+        assert loaded[3].group == "g"
+        payloads = []
+        for line, sample in zip(lines, loaded, strict=True):
+            raw = json.loads(line)["instances"]
+            assert [i.modality_id for i in sample.instances] == [r["modality"] for r in raw]
+            for r, inst in zip(raw, sample.instances):
+                expected = np.asarray(r["payload"])
+                assert inst.payload.dtype == expected.dtype
+                assert inst.payload.shape == expected.shape
+                assert inst.payload.tobytes() == expected.tobytes()
+                payloads.append(inst.payload)
+        assert {p.dtype for p in payloads} == {np.dtype(np.float64), np.dtype(np.int64)}
+        for k, a in enumerate(payloads):
+            assert not any(np.shares_memory(a, b) for b in payloads[k + 1:])
+
+    @pytest.mark.parametrize("lines,message", [
+        ([sample_line(sample_id="s1"),
+          sample_line(sample_id="s2", instances=[{"modality": "img",
+                                                  "payload": [1.0, float("nan"), 0.0]}]),
+          sample_line(sample_id="s3"), sample_line(sample_id="s4"),
+          sample_line(sample_id="s5", labels=[1, 1])],
+         "sample 's2': instances[0].payload: dense payload must be finite"),
+        ([sample_line(instances=[{"modality": "obj", "payload": [1, 7]},
+                                 {"modality": "audio", "payload": [1.0]}])],
+         "sample 's1': instances[0].payload: index out of vocabulary range [0, 5)"),
+        ([sample_line(instances=[{"modality": "img", "payload": [1.0, 2.0, float("inf")]}])],
+         "sample 's1': instances[0].payload: dense payload must be finite"),
+        ([sample_line(sample_id="s1", instances=[{"modality": "img", "payload": [0.5, 1.0, 2.0]},
+                                                 {"modality": "obj", "payload": [9]}]),
+          sample_line(sample_id="s2", instances=[{"modality": "img",
+                                                  "payload": [float("nan"), 1.0, 2.0]}])],
+         "sample 's1': instances[1].payload: index out of vocabulary range [0, 5)"),
+    ], ids=["nonfinite-before-bad-labels", "out-of-vocabulary-before-unknown-modality",
+            "bad-payload-before-sample-count", "earlier-line-across-modalities"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, lines, message):
+        manifest = small_manifest()
+        manifest.sample_count = 9  # no file here has 9 samples
+        paths = write_dataset(tmp_path, manifest.to_dict(), lines)
+        with pytest.raises(DataError) as info:
+            load_dataset(*paths)
+        assert str(info.value) == message
 
 
 class TestRoundTrip:
