@@ -182,13 +182,6 @@ def _check_checkpoint_fits(model, manifest) -> None:
                                 field=f"modalities.{spec.modality_id}.{name}")
 
 
-def _check_sets_nonempty(model, samples) -> None:
-    """A set model's ``_runs`` raises EmptySetError for a sample with no
-    instance of its modalities; the concat baseline takes it as zero slots."""
-    for sample in samples:
-        model._runs(sample)
-
-
 def cmd_train(args) -> int:
     defaults = {**MODEL_DEFAULTS, **TRAIN_DEFAULTS}
     manifest, samples, given = _prepare(args, defaults)
@@ -196,7 +189,7 @@ def cmd_train(args) -> int:
     resolved.update(data=str(args.data), command=args.command)
     build_model, train_config = _model_builder(manifest, resolved), _config(TrainConfig, resolved)
     model = build_model(resolved["seed"])
-    _check_sets_nonempty(model, samples)
+    model.group(samples)  # a set model's empty sample fails before the run directory
     with _run_dir(resolved, args.out) as run_dir, open(run_dir / "train_log.jsonl", "w") as log:
         print(json.dumps({"event": "start", "timestamp": time.time()}), file=log)
         train(model, samples, train_config, task=manifest.task,
@@ -237,7 +230,7 @@ def cmd_eval(args) -> int:
             raise DataError(f"{path}: cannot read: {exc.strerror}") from None
         _check_checkpoint_fits(model, manifest)
     resolved.update(data=str(args.data), command=args.command)
-    _check_sets_nonempty(model, samples)
+    model.group(samples)
     # the evaluated model decides: the --kfold model, or the checkpoint's
     pool, dim = getattr(model, "pool", "concat"), model.config.dim
     if resolved["importance"] and pool not in ("max", "min"):

@@ -243,9 +243,9 @@ def _sample_to_obj(sample: Sample) -> dict:
         "labels": [int(v) for v in sample.labels],
         "instances": [
             {"modality": inst.modality_id,
-             "payload": [float(v) for v in inst.payload]
-             if np.issubdtype(inst.payload.dtype, np.floating)
-             else [int(v) for v in inst.payload]}
+             # a bool payload is written as the 0/1 ints it stands for
+             "payload": inst.payload.astype(np.int64).tolist()
+             if inst.payload.dtype.kind == "b" else inst.payload.tolist()}
             for inst in sample.instances
         ],
     }

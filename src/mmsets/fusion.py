@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import EmptySetError, check_int, check_real
-from .seeding import derive_rng, stable_hash
+from .seeding import derive_rng
 from .training import init_classifier_bias
 
 DENSE = "dense"
@@ -295,38 +295,6 @@ class Mlp:
         return x
 
 
-class TrainingStore:
-    """A model's training samples, grouped once per ``train`` call.
-
-    ``runs[i][k]`` is sample i's run of modality k from the model's ``_runs``;
-    a dense run is a range of rows of ``columns[k]``, the modality's payloads
-    as one [rows, M] float64 array. ``hashes[i]``, the ``stable_hash`` of
-    sample i's id, keys its stream.
-    """
-
-    def __init__(self, model, samples):
-        self.runs = [model._runs(sample) for sample in samples]
-        self.columns = {}
-        for k, spec in enumerate(model.specs):
-            if spec.kind == DENSE:
-                payloads = []
-                for row in self.runs:
-                    first = len(payloads)
-                    payloads += row[k]
-                    row[k] = range(first, len(payloads))
-                if payloads:
-                    self.columns[k] = model.encoders[spec.modality_id].rows(payloads)
-        self.hashes = [stable_hash(sample.sample_id) for sample in samples]
-        self._rng = np.random.Generator(np.random.PCG64())
-
-    def streams(self, idx, states):
-        """Sample i of ``idx`` in turn: one reused generator, set to ``states[i]``."""
-        rng = self._rng
-        for i in idx.tolist():
-            rng.bit_generator.state = states[i]
-            yield rng
-
-
 class _ModelCore:
     """What both models share: the ModelConfig, the sorted specs and their
     caps, one encoder per modality, the predictor, their parameters and the
@@ -334,7 +302,9 @@ class _ModelCore:
     constructor, and defines ``_runs`` (a sample's payloads per modality in
     element order, not yet subsampled), ``_combine`` (the encoded rows to the
     predictor's input) and ``combined_dim``, its width. ``_assemble`` makes
-    every batch, training or inference, from the runs."""
+    every batch, training or inference, from the runs: ``forward_batch``
+    groups its samples itself, and ``train`` groups them once with ``group``
+    and runs each batch through ``forward_runs``."""
 
     def __init__(self, specs, num_classes: int, seed: int, config: dict):
         ids = [s.modality_id for s in specs]
@@ -380,19 +350,21 @@ class _ModelCore:
         return self._forward(*self._assemble([self._runs(s) for s in samples], rngs,
                                              [s.sample_id for s in samples]))
 
-    def training_store(self, samples) -> TrainingStore:
-        """The grouped ``samples`` that ``forward_store`` draws batches from; a
-        bad dense payload or a set model's empty sample raises as in a forward."""
-        return TrainingStore(self, samples)
+    def group(self, samples) -> list:
+        """Each sample's runs, as ``forward_runs`` takes them. Every dense
+        modality's payloads over all the samples pass one ``rows`` check, so a
+        bad dense payload or a set model's empty sample raises as in a
+        forward."""
+        runs = [self._runs(sample) for sample in samples]
+        for k, spec in enumerate(self.specs):
+            if spec.kind == DENSE and any(row[k] for row in runs):
+                self.encoders[spec.modality_id].rows([p for row in runs for p in row[k]])
+        return runs
 
-    def forward_store(self, store: TrainingStore, idx, states):
-        """The training batch of the store's samples ``idx``, sample i's stream
-        resuming from ``states[i]``: ``forward_batch`` of them, bit for bit."""
-        counts, owner, blocks, uniforms = self._assemble([store.runs[i] for i in idx.tolist()],
-                                                         store.streams(idx, states))
-        for k, column in store.columns.items():
-            blocks[k] = column.take(blocks[k], axis=0)
-        return self._forward(counts, owner, blocks, uniforms)
+    def forward_runs(self, runs, rngs):
+        """The training batch of grouped runs ``runs[b]``, sample b drawing
+        from ``rngs[b]``: ``forward_batch`` of their samples, bit for bit."""
+        return self._forward(*self._assemble(runs, rngs))
 
     def _assemble(self, runs, rngs=None, ids=None):
         """The batch of sample runs ``runs[b]`` as ``_forward`` takes it:
@@ -400,8 +372,11 @@ class _ModelCore:
 
         With ``rngs``, sample after sample draws from its stream the
         subsampling of its runs over their cap, in modality order, then the
-        dropout uniforms of its rows. Without them the uniforms are None, and
-        sample b subsamples from the eval stream of ``ids[b]``.
+        dropout uniforms of its rows. Each stream is taken from ``rngs`` just
+        before its sample draws, so a generator may yield one reused
+        Generator, set to each sample's state in turn. Without ``rngs`` the
+        uniforms are None, and sample b subsamples from the eval stream of
+        ``ids[b]``.
         """
         counts, blocks, lo = [], [[] for _ in self.caps], 0
         if rngs is not None:  # rows for the runs before subsampling; the batch takes the first

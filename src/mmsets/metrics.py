@@ -36,16 +36,13 @@ def roc_auc(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank over the tie run
-        i = j + 1
-    rank_sum = ranks[y == 1].sum()
+    # one rank per distinct score, the average over its tie run. Each NaN is a
+    # run of its own; return_index makes the sort stable, so the NaNs rank
+    # last in input order
+    _, _, run_of, run_len = np.unique(s, return_index=True, return_inverse=True,
+                                      return_counts=True, equal_nan=False)
+    ranks = np.cumsum(run_len) - 0.5 * (run_len - 1)
+    rank_sum = ranks[run_of][y == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -56,11 +53,10 @@ def decide(scores: np.ndarray, task: str) -> np.ndarray:
     return (scores >= 0.5).astype(np.int64)
 
 
-def _f1_from_counts(tp: int, fp: int, fn: int, when_empty: float) -> float:
+def _f1(tp, fp, fn, when_empty: float) -> np.ndarray:
+    """F1 of each entry of the count arrays; ``when_empty`` where all are 0."""
     denom = 2 * tp + fp + fn
-    if denom == 0:
-        return when_empty
-    return 2.0 * tp / denom
+    return np.where(denom == 0, when_empty, 2.0 * tp / np.maximum(denom, 1))
 
 
 def f1_suite(pred, true) -> tuple[float, float, float]:
@@ -79,18 +75,10 @@ def f1_suite(pred, true) -> tuple[float, float, float]:
     tp = (p == 1) & (t == 1)
     fp = (p == 1) & (t == 0)
     fn = (p == 0) & (t == 1)
-    micro = _f1_from_counts(int(tp.sum()), int(fp.sum()), int(fn.sum()), when_empty=1.0)
-    per_class = [
-        _f1_from_counts(int(tp[:, c].sum()), int(fp[:, c].sum()), int(fn[:, c].sum()),
-                        when_empty=0.0)
-        for c in range(p.shape[1])
-    ]
-    per_row = [
-        _f1_from_counts(int(tp[r].sum()), int(fp[r].sum()), int(fn[r].sum()),
-                        when_empty=1.0)
-        for r in range(p.shape[0])
-    ]
-    return micro, float(np.mean(per_class)), float(np.mean(per_row))
+    micro = _f1(tp.sum(), fp.sum(), fn.sum(), when_empty=1.0)
+    per_class = _f1(tp.sum(axis=0), fp.sum(axis=0), fn.sum(axis=0), when_empty=0.0)
+    per_row = _f1(tp.sum(axis=1), fp.sum(axis=1), fn.sum(axis=1), when_empty=1.0)
+    return float(micro), float(np.mean(per_class)), float(np.mean(per_row))
 
 
 def accuracy_suite(pred_class, true_class, num_classes: int) -> tuple[float, np.ndarray]:
@@ -106,12 +94,10 @@ def accuracy_suite(pred_class, true_class, num_classes: int) -> tuple[float, np.
         if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             raise ValueError(f"{name} class index outside [0, {num_classes})")
     overall = float(np.mean(p == t)) if p.size else 0.0
-    per_class = np.zeros(num_classes)
-    for c in range(num_classes):
-        mask = t == c
-        if mask.any():
-            per_class[c] = float(np.mean(p[mask] == c))
-    return overall, per_class
+    t = t.astype(np.intp)
+    total = np.bincount(t, minlength=num_classes)
+    hits = np.bincount(t[p == t], minlength=num_classes)
+    return overall, np.where(total == 0, 0.0, hits / np.maximum(total, 1))
 
 
 def export_fim(aggregates, path) -> None:

@@ -20,7 +20,7 @@ from . import tensor as T
 from .errors import DataError, NumericError, check_int, check_real
 from .metrics import decide
 # sample_rng is unused, but perfbench's traced run wraps it here
-from .seeding import derive_rng, sample_rng, sample_states  # noqa: F401
+from .seeding import derive_rng, sample_rng, sample_states, stable_hash  # noqa: F401
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's fixed moment decay rates and denominator floor
 
@@ -190,13 +190,20 @@ def _accuracy_terms(scores: np.ndarray, labels: np.ndarray, task: str) -> np.nda
     return np.mean(pred == labels, axis=1)
 
 
+def _streams(rng, states, idx):
+    """Sample i of ``idx`` in turn: ``rng``, set to ``states[i]``."""
+    for i in idx.tolist():
+        rng.bit_generator.state = states[i]
+        yield rng
+
+
 def train(model, samples, config: TrainConfig, task: str = "single_label",
           on_epoch: Optional[Callable[[dict], None]] = None) -> list[dict]:
     """Run the full training loop in place; returns the per-epoch history.
 
     Args:
-        model: a fusion or concat model exposing ``training_store(samples)``,
-            ``forward_store(store, idx, states)`` and ``named_parameters()``.
+        model: a fusion or concat model exposing ``group(samples)``,
+            ``forward_runs(runs, rngs)`` and ``named_parameters()``.
         samples: sequence of dataset samples.
         config: optimizer/schedule settings; ``config.seed`` drives epoch
             shuffling, subsampling, and dropout, so identical configs give
@@ -204,21 +211,24 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
         task: "single_label" or "multi_label", for the logged accuracy.
         on_epoch: optional callback receiving each epoch's log record.
 
-    The model's ``training_store`` groups the samples once per call, so a
-    dense payload of the wrong shape or an empty set fails before epoch 0.
-    Each epoch shuffles the samples with the stream keyed ``(seed,
-    "shuffle", epoch)``, and sample ``id`` draws from the stream keyed
-    ``(seed, epoch, id)``, the one ``sample_rng`` gives; ``sample_states``
-    derives every sample's start state at once (FORMATS.md, "Random
-    streams"). A minibatch is one forward pass, each sample drawing from
-    its own stream, one backward pass of the batch-mean loss and one
-    optimizer step. A non-finite loss raises NumericError naming the
+    The model's ``group`` turns the samples into their runs once per call,
+    so a dense payload of the wrong shape or an empty set fails before
+    epoch 0; each sample id is hashed once. Each epoch shuffles the samples
+    with the stream keyed ``(seed, "shuffle", epoch)``, and sample ``id``
+    draws from the stream keyed ``(seed, epoch, id)``, the one
+    ``sample_rng`` gives; ``sample_states`` derives every sample's start
+    state at once (FORMATS.md, "Random streams"), and one reused generator
+    is set to each in turn. A minibatch is one forward pass, each sample
+    drawing from its own stream, one backward pass of the batch-mean loss
+    and one optimizer step. A non-finite loss raises NumericError naming the
     batch's first such sample; a failed step's NumericError is re-raised
     prefixed with the epoch and the batch's sample ids, in batch order.
     """
     if not samples:
         raise DataError("cannot train on an empty dataset")
-    store = model.training_store(samples)
+    runs = model.group(samples)
+    hashes = [stable_hash(sample.sample_id) for sample in samples]
+    rng = np.random.Generator(np.random.PCG64())
     state = AdamWState(model.named_parameters(), weight_decay=config.weight_decay)
     labels = np.stack([s.labels for s in samples])
     if config.class_weighting:
@@ -231,14 +241,15 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
         order = derive_rng(config.seed, "shuffle", epoch).permutation(n)
-        states = sample_states(config.seed, epoch, store.hashes)
+        states = sample_states(config.seed, epoch, hashes)
         loss_sum = 0.0
         acc_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
             state.grad.fill(0.0)
             with T.Tape():
-                logits, _ = model.forward_store(store, batch_idx, states)
+                logits, _ = model.forward_runs([runs[i] for i in batch_idx.tolist()],
+                                               _streams(rng, states, batch_idx))
                 losses = weighted_sigmoid_ce(logits, labels[batch_idx], weights)
             loss_values = losses.data[:, 0]
             bad = np.flatnonzero(~np.isfinite(loss_values))

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mmsets.data import (DatasetManifest, SyntheticConfig, generate_synthetic,
-                         load_dataset, load_dataset_dir, save_dataset)
+from mmsets.data import (DatasetManifest, ModalityInstance, Sample, SyntheticConfig,
+                         generate_synthetic, load_dataset, load_dataset_dir, save_dataset)
 from mmsets.errors import DataError
 from mmsets.fusion import ModalitySpec
 
@@ -273,6 +273,25 @@ class TestRoundTrip:
         for name in ("manifest.json", "samples.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_payload_lines_are_pinned(self, tmp_path):
+        """Each payload is written as the JSON of its values: floats by their
+        shortest float64 repr (float32 widened exactly), ints in full, and
+        bools as 0/1."""
+        payloads = [np.array([-0.0, 5e-324, 1e308, 1 / 3]),
+                    np.array([0.1, -2.5], dtype=np.float32),
+                    np.array([0, -7, 2**31 - 1], dtype=np.int32),
+                    np.array([0, 2**64 - 1], dtype=np.uint64),
+                    np.array([True, False])]
+        sample = Sample("s", [ModalityInstance(f"m{i}", p) for i, p in enumerate(payloads)],
+                        np.array([0, 1]))
+        save_dataset(small_manifest(), [sample], tmp_path)
+        assert (tmp_path / "samples.jsonl").read_text() == (
+            '{"instances":[{"modality":"m0","payload":[-0.0,5e-324,1e+308,0.3333333333333333]},'
+            '{"modality":"m1","payload":[0.10000000149011612,-2.5]},'
+            '{"modality":"m2","payload":[0,-7,2147483647]},'
+            '{"modality":"m3","payload":[0,18446744073709551615]},'
+            '{"modality":"m4","payload":[1,0]}],"labels":[0,1],"sample_id":"s"}\n')
 
 
 class TestGenerator:

@@ -93,6 +93,13 @@ class TestRocAuc:
             assert roc_auc(scores, labels) == pytest.approx(
                 auc_pairwise_oracle(scores, labels), abs=1e-12)
 
+    def test_nan_scores_rank_last_in_input_order(self):
+        # every NaN is a tie run of its own after all numbers, the earlier NaN
+        # ranking lower: the positives at even places win exactly half the pairs
+        scores = [np.nan] * 40 + [0.0]
+        labels = [1, 0] * 20 + [0]
+        assert roc_auc(scores, labels) == 0.5
+
     def test_complement_identity_without_ties(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

@@ -445,8 +445,9 @@ class TestTrain:
 @pytest.mark.parametrize("model_class, pool, class_weighting", [
     (FusionModel, "max", False), (FusionModel, "mean", True), (ConcatModel, None, False)])
 def test_train_matches_the_reference_loop_bit_for_bit(model_class, pool, class_weighting):
-    """The columnar store and each epoch's derived streams give the bytes of
-    one forward_batch per batch with sample_rng streams, on ragged data."""
+    """Runs grouped once per call and each epoch's derived streams give the
+    bytes of one forward_batch per batch with sample_rng streams, on ragged
+    data."""
     specs = mixed_specs(max_instances=2)
     rng = np.random.default_rng(30)
     samples = [random_sample(rng, specs, sample_id=f"r{i}", max_instances=4) for i in range(23)]
@@ -492,6 +493,17 @@ def test_train_checks_every_sample_before_the_first_step(bad, error, match):
               TrainConfig(epochs=2, warmup_epochs=0, batch_size=1))
     for name, p in model.named_parameters().items():
         assert np.array_equal(p.data, before[name]), name
+
+
+def test_train_groups_each_sample_once_per_call(monkeypatch):
+    """A 3-epoch train groups each sample into its runs exactly once."""
+    model, samples = _tiny_model(), _tiny_dataset(7, seed=25)
+    grouped = []
+    runs = model._runs
+    monkeypatch.setattr(model, "_runs", lambda sample: grouped.append(sample.sample_id)
+                        or runs(sample))
+    train(model, samples, TrainConfig(epochs=3, warmup_epochs=1, batch_size=2))
+    assert grouped == [s.sample_id for s in samples]
 
 
 class TestKfold:
