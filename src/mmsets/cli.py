@@ -247,9 +247,7 @@ def cmd_eval(args) -> int:
             report.fim = aggregate_importance(records)
             export_fim([(f"{pool}_D{dim}", report.fim)], run_dir / "fim.csv")
             with open(run_dir / "importance_records.jsonl", "w") as fh:
-                for rec in records:
-                    fh.write(json.dumps({"sample_id": rec.sample_id, "counts": rec.counts,
-                                         "fractions": rec.fractions}, sort_keys=True) + "\n")
+                fh.writelines(json.dumps(asdict(rec), sort_keys=True) + "\n" for rec in records)
         (run_dir / "report.json").write_text(report.to_json())
     print(f"report written to {run_dir / 'report.json'}")
     return 0

@@ -222,12 +222,13 @@ class SequenceEncoder:
     """Index-sequence encoder: lookup table, multi-width 1-D convolutions
     with max-over-time, then a projection to the common dimension.
 
-    Sequences shorter than the widest kernel are right-padded with index 0
-    so the convolution is always defined. Index 0 is also a real token, so
-    padding aliases it (ROADMAP item 4, still open). A block of
-    sequences is encoded at once: they are joined end to end, and each
-    one's max-over-time covers only the windows inside it. ``params`` holds
-    ``embedding``, ``conv<w>`` per kernel width, ``projection`` and ``bias``.
+    ``rows`` checks a block of sequences, right-pads each one shorter than
+    the widest kernel with index 0 so the convolution is always defined, and
+    joins them end to end. Index 0 is also a real token, so padding aliases
+    it (ROADMAP item 4, still open). Each sequence's max-over-time covers
+    only its own windows, and one ``scatter_rows`` lays the widths' pooled
+    blocks side by side. ``params`` holds ``embedding``, ``conv<w>`` per
+    kernel width, ``projection`` and ``bias``.
     """
 
     def __init__(self, spec: ModalitySpec, config: ModelConfig, rng: np.random.Generator):
@@ -242,8 +243,9 @@ class SequenceEncoder:
             _uniform_init(rng, (len(widths) * config.num_filters, config.dim)))
         self.params["bias"] = T.parameter(np.zeros((1, config.dim)))
 
-    def encode(self, payloads) -> T.Tensor:
-        """Encode a list of n sequences, one row each."""
+    def rows(self, payloads) -> tuple[np.ndarray, list[int]]:
+        """n sequences, padded and joined, as (indices, padded lengths);
+        ValueError unless each is a nonempty int vector in [0, vocab_size)."""
         pad_to = max(self.kernel_widths)
         padded = []
         for payload in payloads:
@@ -262,7 +264,11 @@ class SequenceEncoder:
                 f"modality {self.spec.modality_id!r}: index out of range "
                 f"[0, {self.spec.vocab_size})"
             )
-        lengths = [idx.size for idx in padded]
+        return joined, [idx.size for idx in padded]
+
+    def encode(self, payloads) -> T.Tensor:
+        """Encode a list of n sequences, one row each."""
+        joined, lengths = self.rows(payloads)
         params = self.params
         emb = T.embedding_lookup(params["embedding"], joined)
         pooled = []
@@ -271,7 +277,10 @@ class SequenceEncoder:
             # each sequence's windows form one set for the max-over-time
             best, _ = T.reduce_over_set(conv, "max", [n - w + 1 for n in lengths])
             pooled.append(best)
-        return T.elu(T.linear(T.concat(pooled, axis=1), params["projection"], params["bias"]))
+        n, k = len(lengths), len(pooled)
+        features = T.scatter_rows(pooled, np.arange(n * k).reshape(n, k).T.ravel(),
+                                  (n, k * best.shape[1]))
+        return T.elu(T.linear(features, params["projection"], params["bias"]))
 
 
 class Mlp:
@@ -351,14 +360,14 @@ class _ModelCore:
                                              [s.sample_id for s in samples]))
 
     def group(self, samples) -> list:
-        """Each sample's runs, as ``forward_runs`` takes them. Every dense
-        modality's payloads over all the samples pass one ``rows`` check, so a
-        bad dense payload or a set model's empty sample raises as in a
-        forward."""
+        """Each sample's runs, as ``forward_runs`` takes them. Every modality's
+        payloads over all the samples pass one ``rows`` check of its encoder,
+        so a payload the encoder rejects or a set model's empty sample raises
+        as in a forward."""
         runs = [self._runs(sample) for sample in samples]
-        for k, spec in enumerate(self.specs):
-            if spec.kind == DENSE and any(row[k] for row in runs):
-                self.encoders[spec.modality_id].rows([p for row in runs for p in row[k]])
+        for k, mid in enumerate(self.modality_ids):
+            if any(row[k] for row in runs):
+                self.encoders[mid].rows([p for row in runs for p in row[k]])
         return runs
 
     def forward_runs(self, runs, rngs):
@@ -414,14 +423,14 @@ class _ModelCore:
 
     def _encode(self, blocks, owner):
         """Encode every element of a batch: [N, D] rows in element order. The
-        encoders run one block per modality, and one scatter puts their rows
-        back in element order."""
+        encoders run one block per modality, and one ``scatter_rows`` places
+        each block's rows at its elements' positions."""
         if owner.size == 0:
             return T.Tensor(np.zeros((0, self.config.dim)))
-        rows = T.concat([self.encoders[mid].encode(block)
-                         for mid, block in zip(self.modality_ids, blocks) if len(block)], axis=0)
+        parts = [self.encoders[mid].encode(block)
+                 for mid, block in zip(self.modality_ids, blocks) if len(block)]
         order = np.argsort(owner, kind="stable")
-        return T.scatter_rows(rows, order, (owner.size, self.config.dim))
+        return T.scatter_rows(parts, order, (owner.size, self.config.dim))
 
     def named_parameters(self) -> dict[str, T.Tensor]:
         """Every parameter by its checkpoint name: the encoders' in modality-id
@@ -511,8 +520,7 @@ class ConcatModel(_ModelCore):
             for got, n in zip(row, self.caps):
                 slot_rows.extend(range(first, first + got))
                 first += n
-        shape = (len(counts), n_slots * self.config.dim)
-        return T.scatter_rows(x, np.array(slot_rows, dtype=np.intp), shape), None
+        return T.scatter_rows([x], slot_rows, (len(counts), n_slots * self.config.dim)), None
 
 
 def aggregate_importance(records) -> dict[str, float]:

@@ -353,44 +353,37 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     return register_op(out, (table,), backward_fn)
 
 
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    """Join 2-D tensors along ``axis``: 0 stacks rows, 1 joins columns."""
-    if axis not in (0, 1):
-        raise ValueError(f"concat axis must be 0 or 1, got {axis!r}")
-    shapes = [t.data.shape for t in parts]
-    if not parts or any(len(sh) != 2 or sh[1 - axis] != shapes[0][1 - axis] for sh in shapes):
-        raise ValueError(f"concat along axis {axis} needs matching 2-D tensors, got {shapes}")
-    out = Tensor(np.concatenate([t.data for t in parts], axis=axis))
+def scatter_rows(parts: Sequence[Tensor], rows: Sequence[int], shape: tuple[int, int]) -> Tensor:
+    """Place the rows of ``parts``, [n_k,D] tensors taken in turn, in a zero [R,C] tensor.
 
-    def backward_fn(g):
-        g_rows = g.swapaxes(0, axis)  # join axis first: each part is a run of rows
-        lo = 0
-        for t, sh in zip(parts, shapes):
-            hi = lo + sh[axis]
-            accumulate_grad(t, g_rows[lo:hi].swapaxes(0, axis))
-            lo = hi
-
-    return register_op(out, tuple(parts), backward_fn)
-
-
-def scatter_rows(x: Tensor, rows: np.ndarray, shape: tuple[int, int]) -> Tensor:
-    """Place the rows of ``x`` [n,D] into a zero [R,C] tensor.
-
-    The result is viewed as R*C/D rows of width D, and row i of ``x`` lands
-    on row ``rows[i]`` of that view; the destinations must be distinct. A
-    permutation of range(n) with shape [n,D] reorders rows; with C a
-    multiple of D, rows land in fixed column slots of each output row.
+    The result is viewed as R*C/D rows of width D, and row i of the parts,
+    counted part after part, lands on row ``rows[i]`` of that view; the
+    destinations must be distinct. A permutation of range(n) with shape
+    [n,D] reorders rows; with C a multiple of D, rows land in fixed column
+    slots of each output row. Backward gives each part its rows of ``g``.
     """
-    n, width = x.data.shape
     idx = np.asarray(rows, dtype=np.intp)
-    if len(shape) != 2 or shape[1] % width or idx.shape != (n,):
-        raise ValueError(f"cannot place {n} rows of width {width} into shape {shape} "
-                         f"with {idx.shape[0]} destinations")
+    width = parts[0].data.shape[1] if parts else 0
+    spans, lo = [], 0
+    for t in parts:
+        n, w = t.data.shape
+        if w != width:
+            break
+        spans.append((t, lo, lo + n))
+        lo += n
+    if (len(spans) != len(parts) or not width or len(shape) != 2 or shape[1] % width
+            or idx.shape != (lo,)):
+        raise ValueError(f"cannot place parts of shapes {[t.data.shape for t in parts]} "
+                         f"into shape {shape} with {idx.size} destinations")
     out_data = np.zeros(shape)
-    out_data.reshape(-1, width)[idx] = x.data
+    view = out_data.reshape(-1, width)
+    for t, lo, hi in spans:
+        view[idx[lo:hi]] = t.data
     out = Tensor(out_data)
 
     def backward_fn(g):
-        accumulate_grad(x, g.reshape(-1, width)[idx])
+        g_rows = g.reshape(-1, width)
+        for t, lo, hi in spans:
+            accumulate_grad(t, g_rows[idx[lo:hi]])
 
-    return register_op(out, (x,), backward_fn)
+    return register_op(out, tuple(parts), backward_fn)

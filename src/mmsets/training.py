@@ -212,8 +212,8 @@ def train(model, samples, config: TrainConfig, task: str = "single_label",
         on_epoch: optional callback receiving each epoch's log record.
 
     The model's ``group`` turns the samples into their runs once per call,
-    so a dense payload of the wrong shape or an empty set fails before
-    epoch 0; each sample id is hashed once. Each epoch shuffles the samples
+    so any payload its encoder rejects or an empty set fails before epoch
+    0; each sample id is hashed once. Each epoch shuffles the samples
     with the stream keyed ``(seed, "shuffle", epoch)``, and sample ``id``
     draws from the stream keyed ``(seed, epoch, id)``, the one
     ``sample_rng`` gives; ``sample_states`` derives every sample's start

@@ -372,18 +372,22 @@ class TestForwardBatch:
 
     def test_one_tape_per_batch(self):
         # the records of a batch depend on the modalities present, not on
-        # how many samples or elements the batch holds
+        # how many samples or elements the batch holds; 18 pins one
+        # scatter_rows for the encoded rows' layout and one for the
+        # sequence encoder's join of its kernel widths
         specs = mixed_specs()
-        model = FusionModel(specs, num_classes=2, dim=8, embed_dim=4, num_filters=3)
         rng = np.random.default_rng(42)
         small = [make_sample({"img": [np.ones(6)], "obj": [np.array([1, 2])]}, "s0")]
         large = small + [random_sample(rng, specs, sample_id=f"l{i}") for i in range(9)]
-        lengths = []
-        for batch in (small, large):
-            with T.Tape() as tape:
-                model.forward_batch(batch, [np.random.default_rng(0) for _ in batch])
-            lengths.append(len(tape))
-        assert lengths[0] == lengths[1]
+        for model_class in (FusionModel, ConcatModel):
+            model = model_class(specs, num_classes=2, dim=8, embed_dim=4, num_filters=3)
+            lengths = []
+            for batch in (small, large):
+                with T.Tape() as tape:
+                    model.forward_batch(batch, [np.random.default_rng(0) for _ in batch])
+                lengths.append(len(tape))
+            assert lengths[0] == lengths[1], model_class.__name__
+            assert lengths[1] == 18, model_class.__name__
 
     def test_streams_are_checked(self):
         spec = ModalitySpec("img", "dense", input_dim=4)

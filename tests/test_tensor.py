@@ -529,59 +529,6 @@ class TestEmbeddingLookup:
 
 
 class TestStructuralOps:
-    def test_concat_and_stack_gradients(self):
-        rng = np.random.default_rng(13)
-        parts = [T.parameter(rng.standard_normal((1, k))) for k in (2, 3)]
-        scalar_loss(lambda: T.concat(parts, axis=1))
-        for p in parts:
-            np.testing.assert_array_equal(p.grad, np.ones_like(p.data))
-        rows = [T.parameter(rng.standard_normal((1, 4))) for _ in range(3)]
-        with T.Tape():
-            stacked = T.concat(rows, axis=0)
-            out, _ = T.reduce_over_set(stacked, "mean", [3])
-            loss = sum_all(out)
-        T.backward(loss)
-        for r in rows:
-            np.testing.assert_allclose(r.grad, np.full((1, 4), 1 / 3), atol=1e-15)
-        # multi-row and multi-column parts: each gets its own block of upstream
-        upstream = rng.standard_normal((6, 6))
-        cases = [(0, [(1, 3), (2, 3), (3, 3)], [np.s_[0:1, 0:3], np.s_[1:3, 0:3], np.s_[3:6, 0:3]]),
-                 (1, [(2, 1), (2, 3), (2, 2)], [np.s_[0:2, 0:1], np.s_[0:2, 1:4], np.s_[0:2, 4:6]])]
-        for axis, shapes, cuts in cases:
-            blocks = [T.parameter(rng.standard_normal(sh)) for sh in shapes]
-            up = upstream[:6, :3] if axis == 0 else upstream[:2, :6]
-            with T.Tape():
-                joined = T.concat(blocks, axis=axis)
-                loss = sum_all(mul(joined, T.Tensor(up)))
-            T.backward(loss)
-            for b, cut in zip(blocks, cuts):
-                np.testing.assert_array_equal(joined.data[cut], b.data)
-                np.testing.assert_array_equal(b.grad, up[cut])
-
-    def test_concat_constant_part_takes_no_gradient(self):
-        rng = np.random.default_rng(36)
-        param = T.parameter(rng.standard_normal((2, 3)))
-        const = T.Tensor(rng.standard_normal((2, 2)))
-        mix = rng.standard_normal((2, 5))
-        with T.Tape():
-            loss = sum_all(mul(T.concat([param, const], axis=1), T.Tensor(mix)))
-        T.backward(loss)
-        assert const.grad is None
-
-        def value():
-            return float((np.concatenate([param.data, const.data], axis=1) * mix).sum())
-
-        numeric = central_diff(value, param.data, h=1e-6)
-        assert max_rel_err(param.grad, numeric) < 1e-6
-
-    def test_concat_rejects_mismatched_parts_and_bad_axis(self):
-        with pytest.raises(ValueError, match=r"\(1, 2\).*\(1, 3\)"):
-            T.concat([T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 3)))], axis=0)
-        with pytest.raises(ValueError, match="axis"):
-            T.concat([T.Tensor(np.zeros((1, 2)))], axis=2)
-        with pytest.raises(ValueError):
-            T.concat([], axis=1)
-
     def test_mul_and_scale(self):
         x = T.parameter([[2.0, -3.0]])
         with T.Tape():
@@ -593,10 +540,10 @@ class TestStructuralOps:
 class TestScatterRows:
     def test_reorders_rows_and_fills_slots(self):
         x = T.Tensor(np.arange(6.0).reshape(3, 2))
-        out = T.scatter_rows(x, np.array([2, 0, 1]), (3, 2))
+        out = T.scatter_rows([x], np.array([2, 0, 1]), (3, 2))
         assert out.data.tolist() == [[2.0, 3.0], [4.0, 5.0], [0.0, 1.0]]
         # [2,6] seen as six 2-wide slots: rows land in slots 0, 3 and 5
-        out = T.scatter_rows(x, np.array([0, 3, 5]), (2, 6))
+        out = T.scatter_rows([x], np.array([0, 3, 5]), (2, 6))
         assert out.data.tolist() == [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
                                      [2.0, 3.0, 0.0, 0.0, 4.0, 5.0]]
 
@@ -606,16 +553,77 @@ class TestScatterRows:
         rows = np.array([4, 1, 2])
         mix = rng.standard_normal((3, 4))
         with T.Tape():
-            loss = sum_all(mul(T.scatter_rows(x, rows, (3, 4)), T.Tensor(mix)))
+            loss = sum_all(mul(T.scatter_rows([x], rows, (3, 4)), T.Tensor(mix)))
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, mix.reshape(-1, 2)[rows])
 
     def test_rejects_rows_that_do_not_fit(self):
         x = T.Tensor(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="cannot place"):
-            T.scatter_rows(x, np.array([0, 1, 2]), (3, 3))
+            T.scatter_rows([x], np.array([0, 1, 2]), (3, 3))
         with pytest.raises(ValueError, match="cannot place"):
-            T.scatter_rows(x, np.array([0, 1]), (3, 2))
+            T.scatter_rows([x], np.array([0, 1]), (3, 2))
+
+    def test_stacks_parts_and_joins_columns(self):
+        rng = np.random.default_rng(13)
+        # a column join: part j's row i fills column block j of row i
+        parts = [T.parameter(rng.standard_normal((1, 2))) for _ in range(2)]
+        scalar_loss(lambda: T.scatter_rows(parts, np.array([0, 1]), (1, 4)))
+        for p in parts:
+            np.testing.assert_array_equal(p.grad, np.ones_like(p.data))
+        rows = [T.parameter(rng.standard_normal((1, 4))) for _ in range(3)]
+        with T.Tape():
+            stacked = T.scatter_rows(rows, np.arange(3), (3, 4))
+            out, _ = T.reduce_over_set(stacked, "mean", [3])
+            loss = sum_all(out)
+        T.backward(loss)
+        for r in rows:
+            np.testing.assert_allclose(r.grad, np.full((1, 4), 1 / 3), atol=1e-15)
+        # parts of different row counts: each gets its own rows of upstream
+        upstream = rng.standard_normal((6, 6))
+        cases = [((6, 3), [(1, 3), (2, 3), (3, 3)], np.arange(6),
+                  [np.s_[0:1, 0:3], np.s_[1:3, 0:3], np.s_[3:6, 0:3]]),
+                 ((2, 6), [(2, 2)] * 3, np.arange(6).reshape(2, 3).T.ravel(),
+                  [np.s_[0:2, 0:2], np.s_[0:2, 2:4], np.s_[0:2, 4:6]]),
+                 ((4, 2), [(1, 2), (3, 2)], np.array([2, 0, 3, 1]),
+                  [np.s_[[2], :], np.s_[[0, 3, 1], :]])]
+        for shape, shapes, dest, cuts in cases:
+            blocks = [T.parameter(rng.standard_normal(sh)) for sh in shapes]
+            up = upstream[:shape[0], :shape[1]]
+            with T.Tape():
+                joined = T.scatter_rows(blocks, dest, shape)
+                loss = sum_all(mul(joined, T.Tensor(up)))
+            T.backward(loss)
+            for b, cut in zip(blocks, cuts):
+                np.testing.assert_array_equal(joined.data[cut], b.data)
+                np.testing.assert_array_equal(b.grad, up[cut])
+
+    def test_constant_part_takes_no_gradient(self):
+        rng = np.random.default_rng(36)
+        param = T.parameter(rng.standard_normal((2, 3)))
+        const = T.Tensor(rng.standard_normal((2, 3)))
+        mix = rng.standard_normal((2, 6))
+        side_by_side = np.arange(4).reshape(2, 2).T.ravel()
+        with T.Tape():
+            loss = sum_all(mul(T.scatter_rows([param, const], side_by_side, (2, 6)),
+                               T.Tensor(mix)))
+        T.backward(loss)
+        assert const.grad is None
+
+        def value():
+            return float((np.concatenate([param.data, const.data], axis=1) * mix).sum())
+
+        numeric = central_diff(value, param.data, h=1e-6)
+        assert max_rel_err(param.grad, numeric) < 1e-6
+
+    def test_rejects_mismatched_parts(self):
+        with pytest.raises(ValueError, match=r"cannot place.*\(1, 2\).*\(1, 3\)"):
+            T.scatter_rows([T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 3)))],
+                           np.arange(2), (1, 6))
+        with pytest.raises(ValueError, match="cannot place"):
+            T.scatter_rows([T.Tensor(np.zeros((1, 2)))], np.arange(1), (2,))
+        with pytest.raises(ValueError, match="cannot place"):
+            T.scatter_rows([], np.arange(0), (0, 2))
 
 
 class TestBackward:

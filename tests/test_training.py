@@ -9,6 +9,7 @@ import mmsets.training as training
 from mmsets.data import ModalityInstance, Sample
 from mmsets.errors import DataError, EmptySetError, NumericError
 from mmsets.fusion import ConcatModel, FusionModel, ImportanceRecord, ModalitySpec
+from mmsets.seeding import derive_rng
 from mmsets.training import (AdamWState, TrainConfig, adamw_step,
                              init_classifier_bias, inverse_sqrt_class_weights,
                              kfold_split, lr_at, train, weighted_sigmoid_ce)
@@ -481,16 +482,26 @@ def test_train_matches_the_reference_loop_bit_for_bit(model_class, pool, class_w
      r"expects vectors of length 4, got shape \[\(3,\), \(4,\)\]"),
     (Sample("lost", [ModalityInstance("y", np.zeros(4))], np.array([1, 0])), EmptySetError,
      "lost"),
-], ids=["dense-shape", "empty-set"])
+    (Sample("oov", [ModalityInstance("z", np.array([1, 9]))], np.array([1, 0])), ValueError,
+     r"'z': index out of range \[0, 5\)"),
+    (Sample("floats", [ModalityInstance("z", np.array([1.0, 2.0]))], np.array([1, 0])),
+     ValueError, "'z' expects a nonempty int sequence"),
+    (Sample("blank", [ModalityInstance("z", np.array([], dtype=np.int64))], np.array([1, 0])),
+     ValueError, "'z' expects a nonempty int sequence"),
+], ids=["dense-shape", "empty-set", "out-of-vocabulary", "float-tokens", "empty-sequence"])
 def test_train_checks_every_sample_before_the_first_step(bad, error, match):
-    """A dense payload of the wrong shape fails as the encoder's error, and a
-    set model's empty sample as EmptySetError, before any optimizer step,
+    """A payload its encoder rejects fails as the encoder's error, and a set
+    model's empty sample as EmptySetError, before any optimizer step,
     although the bad sample comes last in epoch 0's order of batches of one."""
-    model = _tiny_model()
+    model = FusionModel([ModalitySpec("x", "dense", input_dim=4),
+                         ModalitySpec("z", "index_sequence", vocab_size=5)], num_classes=2,
+                        dim=8, predictor_hidden=(8,), seed=0)
+    samples = _tiny_dataset(6, seed=24)
+    # at the index that epoch 0's shuffle (seed 0) visits last
+    samples.insert(derive_rng(0, "shuffle", 0).permutation(7)[-1], bad)
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
     with pytest.raises(error, match=match):
-        train(model, [*_tiny_dataset(6, seed=24), bad],
-              TrainConfig(epochs=2, warmup_epochs=0, batch_size=1))
+        train(model, samples, TrainConfig(epochs=2, warmup_epochs=0, batch_size=1, seed=0))
     for name, p in model.named_parameters().items():
         assert np.array_equal(p.data, before[name]), name
 
