@@ -153,11 +153,13 @@ def _check_ranges(columns) -> None:
 def load_dataset(manifest_path, samples_path) -> tuple[DatasetManifest, list[Sample]]:
     """Load and fully validate a dataset.
 
-    Every malformed record raises DataError naming the sample and field;
-    nothing is skipped silently. When a file has several faults, the first
-    in file order is reported. Each modality's payloads are read into one
-    float64 (dense) or int64 (index_sequence) array, checked once, and every
-    payload is a row view of it.
+    Records are separated by ``\\n`` only, so a raw U+2028 inside a string
+    is data, and whitespace-only lines are ignored. Every other malformed
+    record raises DataError naming the sample and field, or its physical
+    line. When a file has several faults, the first in file order is
+    reported. Each modality's payloads are read into one float64 (dense) or
+    int64 (index_sequence) array, checked once, and every payload is a row
+    view of it.
     """
     manifest_path = Path(manifest_path)
     samples_path = Path(samples_path)
@@ -168,7 +170,7 @@ def load_dataset(manifest_path, samples_path) -> tuple[DatasetManifest, list[Sam
 
     samples = []
     seen: set[str] = set()
-    lines = read_text(samples_path, DataError).splitlines()
+    lines = read_text(samples_path, DataError).split("\n")
     try:
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():

@@ -307,15 +307,15 @@ class Mlp:
 class _ModelCore:
     """What both models share: the ModelConfig, the sorted specs and their
     caps, one encoder per modality, the predictor, their parameters and the
-    forward pass. A subclass sets up its combine step before calling this
-    constructor, and defines ``_runs`` (a sample's payloads per modality in
-    element order, not yet subsampled), ``_combine`` (the encoded rows to the
-    predictor's input) and ``combined_dim``, its width. ``_assemble`` makes
-    every batch, training or inference, from the runs: ``forward_batch``
-    groups its samples itself, and ``train`` groups them once with ``group``
-    and runs each batch through ``forward_runs``."""
+    forward pass. A subclass defines ``_runs`` (a sample's payloads per
+    modality in element order, not yet subsampled), ``_combine`` (the encoded
+    rows to the predictor's input) and ``combined_dim``, its width.
+    ``_assemble`` makes every batch, training or inference, from the runs:
+    ``forward_batch`` groups its samples itself, and ``train`` groups them
+    once with ``group`` and runs each batch through ``forward_runs``.
+    ``config`` takes the ModelConfig fields as keywords, e.g. ``dim=64``."""
 
-    def __init__(self, specs, num_classes: int, seed: int, config: dict):
+    def __init__(self, specs, num_classes: int, *, seed: int = 0, **config):
         ids = [s.modality_id for s in specs]
         if not ids:
             raise ValueError("a model needs at least one modality")
@@ -445,17 +445,17 @@ class _ModelCore:
 
 
 class FusionModel(_ModelCore):
-    """Set fusion model: per-modality encoders, pooling, predictor.
-
-    ``config`` takes the ModelConfig fields as keywords, e.g. ``dim=64``.
-    """
+    """Set fusion model: per-modality encoders, pooling, predictor. ``pool``
+    is fixed at construction."""
 
     forward = _ModelCore.forward  # perfbench/tracing.installed finds it via vars(cls)
 
     def __init__(self, specs, num_classes: int, *, pool: str = "max", seed: int = 0,
                  **config):
-        self.pool = pool
-        super().__init__(specs, num_classes, seed, config)
+        if pool not in T.POOL_MODES:
+            raise ValueError(f"pool must be one of {T.POOL_MODES}, got {pool!r}")
+        self._pool = pool
+        super().__init__(specs, num_classes, seed=seed, **config)
 
     @property
     def combined_dim(self) -> int:
@@ -464,13 +464,6 @@ class FusionModel(_ModelCore):
     @property
     def pool(self) -> str:
         return self._pool
-
-    @pool.setter
-    def pool(self, mode: str) -> None:
-        # switching the pooling mode is legal (it owns no parameters)
-        if mode not in T.POOL_MODES:
-            raise ValueError(f"pool must be one of {T.POOL_MODES}, got {mode!r}")
-        self._pool = mode
 
     def _runs(self, sample):
         return _sorted_runs(sample, self.specs)
@@ -489,13 +482,10 @@ class ConcatModel(_ModelCore):
     max_instances. Instances fill slots in arrival order, missing slots are
     exact zero blocks, and extra instances are dropped. The concatenated
     [1, sum(slots)*D] vector feeds an MLP. Deliberately not permutation
-    invariant. ``config`` takes the ModelConfig fields as keywords.
+    invariant.
     """
 
     forward = _ModelCore.forward  # perfbench/tracing.installed finds it via vars(cls)
-
-    def __init__(self, specs, num_classes: int, *, seed: int = 0, **config):
-        super().__init__(specs, num_classes, seed, config)
 
     @property
     def slots(self) -> dict[str, int]:

@@ -63,19 +63,20 @@ def test_criterion_1_permutation_invariance():
     """1,000 random samples, every pool mode: shuffled-instance forward is
     bit-identical in logits and importance counts."""
     specs = five_modalities(max_instances=10)
-    models = {dim: FusionModel(specs, num_classes=2, dim=dim, pool="max",
-                               embed_dim=4, num_filters=3, predictor_hidden=(16,),
-                               seed=dim)
-              for dim in (8, 32)}
+    # one model per pool from the same seed: the same weights pooled four ways
+    models = {(dim, pool): FusionModel(specs, num_classes=2, dim=dim, pool=pool,
+                                       embed_dim=4, num_filters=3, predictor_hidden=(16,),
+                                       seed=dim)
+              for dim in (8, 32) for pool in T.POOL_MODES}
     rng = np.random.default_rng(2024)
     failures = 0
     for i in range(1000):
         sample = random_ragged_sample(rng, specs, f"p{i}", min_mods=2, max_mods=5,
                                       min_inst=1, max_inst=12)
         shuffled = shuffled_copy(sample, rng)
-        model = models[8 if i % 2 == 0 else 32]
+        dim = 8 if i % 2 == 0 else 32
         for pool in T.POOL_MODES:
-            model.pool = pool
+            model = models[dim, pool]
             logits_a, rec_a = model.forward(sample)
             logits_b, rec_b = model.forward(shuffled)
             if logits_a.data.tobytes() != logits_b.data.tobytes():

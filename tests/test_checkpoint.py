@@ -54,6 +54,12 @@ def test_save_bytes_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_save_rejects_what_is_not_a_model(tmp_path):
+    with pytest.raises(TypeError, match="cannot checkpoint object of type dict"):
+        save_checkpoint({"specs": []}, tmp_path / "ckpt.json")
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_checkpoint(tmp_path / "nope.json")

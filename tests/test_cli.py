@@ -297,6 +297,18 @@ class TestEval:
         code = main(["eval", "--data", str(data), "--out", str(tmp_path / "ev")])
         assert code == 1
 
+    def test_leave_one_out_has_no_roc_auc(self, tmp_path):
+        # --kfold N on N samples: every fold holds one sample, so one class
+        data = gen_dataset(tmp_path, ["--samples", "6"])
+        out = tmp_path / "ev"
+        assert main(["eval", "--data", str(data), "--out", str(out), "--kfold", "6",
+                     "--epochs", "1", "--warmup-epochs", "0", "--dim", "8"]) == 0
+        (run_dir,) = run_dirs(out)
+        report = json.loads((run_dir / "report.json").read_text())
+        assert [fold["roc_auc"] for fold in report["folds"]] == [None] * 6
+        assert report["mean"]["roc_auc"] is None
+        assert report["mean"]["overall_accuracy"] is not None
+
     def test_multi_label_report_has_three_f1(self, tmp_path):
         data = gen_dataset(tmp_path, extra=["--task", "multi_label"])
         out = tmp_path / "ev"
@@ -602,10 +614,20 @@ class TestFoldSizes:
     ("gen-synthetic", {"missing_rates": "x"}, [], "missing_rates"),
     ("train", {"modalities": [["m0"]]}, [], "modalities"),
     ("train", {"modalities": [{}]}, [], "modalities"),
+    ("train", {"baseline": "foo"}, [], "baseline must be 'concat' or null, got 'foo'"),
+    ("train", {"pool": "median"}, [], "pool must be one of"),  # argparse guards only the flag
+    ("train", {}, ["--data", ""], "--data is required"),
+    ("train", {"class_weighting": "yes"}, [], "class_weighting must be a bool, got 'yes'"),
+    ("train", {"kernel_widths": 3}, [], "kernel_widths must be a list of integers, got 3"),
+    ("gen-synthetic", {"feature_dims": 8}, [], "feature_dims must be a list of integers"),
+    ("gen-synthetic", {"feature_dims": [8, 8]}, [], "feature_dims must have one entry per"),
+    ("gen-synthetic", {"missing_rates": [0.1, 0.2]}, [], "missing_rates must have one entry"),
 ], ids=["dim-str", "dim-zero", "hidden-zero", "dropout", "class-prior", "peak-lr",
         "no-kernel-widths", "repeated-kernel-widths", "kfold-1", "kfold-over-samples",
         "importance-str", "kfold-with-checkpoint", "feature-dims-float", "missing-rates-str", "modalities-nested-list",
-        "modalities-object"])
+        "modalities-object", "baseline-unknown", "pool-unknown", "data-empty",
+        "class-weighting-str", "kernel-widths-int", "feature-dims-int", "feature-dims-short",
+        "missing-rates-short"])
 def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, config,
                                                  flags, named):
     if command != "gen-synthetic":
@@ -616,8 +638,55 @@ def test_bad_config_value_exits_1_before_writing(tmp_path, capsys, command, conf
     out = tmp_path / "runs"
     code = main([command, "--out", str(out), "--config", str(cfg), *flags])
     assert code == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_env_seed_that_is_no_integer_exits_1_before_writing(tmp_path, capsys, monkeypatch):
+    data = gen_dataset(tmp_path)
+    monkeypatch.setenv("MMSETS_SEED", "abc")
+    out = tmp_path / "runs"
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: MMSETS_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
+def _repeat_first_modality(data, bad, checkpoint):
+    """A dataset copy at the bad path whose manifest names its first
+    modality twice, and a training on it."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["modalities"][1]["modality_id"] = manifest["modalities"][0]["modality_id"]
+    _dataset_copy(**{"manifest.json": json.dumps(manifest).encode()})(bad, data)
+    return ["train", "--data", str(bad)]
+
+
+def _checkpoint_specs(edit):
+    """A setup that writes the checkpoint to the bad path with its specs
+    edited, and evaluates it on the data."""
+    def setup(data, bad, checkpoint):
+        obj = json.loads(checkpoint.read_text())
+        bad.write_text(json.dumps({**obj, "specs": edit(obj["specs"])}))
+        return ["eval", "--data", str(data), "--checkpoint", str(bad)]
+    return setup
+
+
+@pytest.mark.parametrize("setup,message", [
+    (_repeat_first_modality, "manifest.json:modalities: duplicate modality_id"),
+    (_checkpoint_specs(lambda specs: []),
+     "malformed checkpoint: a model needs at least one modality"),
+    (_checkpoint_specs(lambda specs: specs + specs[:1]),
+     "malformed checkpoint: duplicate modality ids: ['m0', 'm0', 'm1', 'm2', 'm3']"),
+], ids=["manifest-repeats-a-modality", "checkpoint-without-specs", "checkpoint-repeats-a-spec"])
+def test_repeated_or_missing_modalities_exit_2_before_writing(tmp_path, capsys, setup, message):
+    data = gen_dataset(tmp_path)
+    checkpoint = train_checkpoint(tmp_path, data)
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main([*setup(data, tmp_path / "bad", checkpoint), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.endswith(message + "\n"), err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def _dataset_copy(**files):

@@ -151,6 +151,37 @@ class TestLoader:
         _, samples = load_dataset(*paths)
         assert samples[0].group == "equiv"
 
+    def test_records_end_only_at_newline(self, tmp_path):
+        # JSON allows U+2028, U+2029 and U+0085 raw inside a string; JSON
+        # Lines separates records at "\n" alone
+        manifest = small_manifest()
+        manifest.sample_count = 2
+        lines = [json.dumps(json.loads(sample_line(**field)), ensure_ascii=False)
+                 for field in ({"group": "a\u2028b\u2029c"}, {"sample_id": "s\u00852"})]
+        assert "\u2028" in lines[0] and "\u0085" in lines[1]  # written raw
+        _, samples = load_dataset(*write_dataset(tmp_path, manifest.to_dict(), lines))
+        assert [(s.sample_id, s.group) for s in samples] == [("s1", "a\u2028b\u2029c"),
+                                                              ("s\u00852", None)]
+        save_dataset(manifest, samples, tmp_path / "again")
+        _, again = load_dataset_dir(tmp_path / "again")
+        assert [(s.sample_id, s.group) for s in again] == [(s.sample_id, s.group)
+                                                           for s in samples]
+
+    def test_whitespace_lines_are_not_records(self, tmp_path):
+        manifest = small_manifest()
+        manifest.sample_count = 2  # counts records, not lines
+        records = [sample_line(sample_id="s1"), sample_line(sample_id="s2")]
+        for name in ("plain", "blank", "bad"):
+            (tmp_path / name).mkdir()
+        _, plain = load_dataset(*write_dataset(tmp_path / "plain", manifest.to_dict(), records))
+        _, blank = load_dataset(*write_dataset(tmp_path / "blank", manifest.to_dict(),
+                                               [records[0], "", " \t", records[1], "  "]))
+        assert [s.sample_id for s in blank] == [s.sample_id for s in plain] == ["s1", "s2"]
+        paths = write_dataset(tmp_path / "bad", manifest.to_dict(),
+                              [records[0], "", "{not json"])
+        with pytest.raises(DataError, match="line 3 is not valid JSON"):  # physical lines
+            load_dataset(*paths)
+
     def test_validation_is_total_over_fuzzed_lines(self, tmp_path):
         # every malformed record must raise DataError, never crash or skip
         cases = [

@@ -27,7 +27,7 @@ def test_predict_scores_shapes_and_records():
     assert scores.shape == (len(samples), 2)
     assert np.all((scores >= 0) & (scores <= 1))
     assert owners.shape == (len(samples), 8)
-    model.pool = "sum"
+    model = FusionModel(manifest.modalities, num_classes=2, dim=8, pool="sum")
     _, owners = predict_scores(model, samples)
     assert owners is None
 

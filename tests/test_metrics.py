@@ -82,6 +82,15 @@ class TestRocAuc:
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("scores,labels,match", [
+        ([0.1, 0.9], [1, 0, 1], "matching vectors"),
+        ([[0.1, 0.9]], [[1, 0]], "matching vectors"),
+        ([0.1, 0.9], [2, 0], "binary"),
+    ], ids=["lengths-differ", "not-vectors", "label-2"])
+    def test_malformed_inputs_rejected(self, scores, labels, match):
+        with pytest.raises(ValueError, match=match):
+            roc_auc(scores, labels)
+
     def test_matches_pairwise_oracle_random(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -162,6 +171,12 @@ class TestF1Suite:
         with pytest.raises(ValueError):
             f1_suite(np.zeros((2, 3), dtype=int), np.zeros((2, 2), dtype=int))
 
+    def test_non_binary_rejected(self):
+        with pytest.raises(ValueError, match="binary"):
+            f1_suite(np.array([[0, 2]]), np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="binary"):
+            f1_suite(np.array([[0, 1]]), np.array([[0.5, 1]]))
+
     def test_matches_counting_oracle_random(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -191,6 +206,12 @@ class TestAccuracy:
     def test_out_of_range_class(self):
         with pytest.raises(ValueError):
             accuracy_suite([0, 3], [0, 1], 3)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="matching vectors"):
+            accuracy_suite([0, 1], [0, 1, 1], 2)
+        with pytest.raises(ValueError, match="matching vectors"):
+            accuracy_suite([[0, 1]], [[0, 1]], 2)
 
     def test_matches_counting_oracle_random(self):
         rng = np.random.default_rng(5)
@@ -236,6 +257,11 @@ class TestExportFim:
     def test_bad_sum_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sum"):
             export_fim([("m", {"img": 0.6})], tmp_path / "fim.csv")
+
+    def test_no_aggregate_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one aggregate"):
+            export_fim([], tmp_path / "fim.csv")
+        assert not (tmp_path / "fim.csv").exists()
 
     def test_byte_deterministic(self, tmp_path):
         agg = [("m1", {"a": 0.25, "b": 0.75}), ("m2", {"c": 1.0})]

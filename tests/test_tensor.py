@@ -391,6 +391,13 @@ class TestReduceOverSet:
             with pytest.raises(ValueError, match="sizes"):
                 T.reduce_over_set(T.Tensor(np.zeros((3, 4))), "max", sizes)
 
+    def test_bad_mode_or_rank_rejected(self):
+        with pytest.raises(ValueError, match="unknown reduction mode 'median'"):
+            T.reduce_over_set(T.Tensor(np.zeros((3, 4))), "median", [3])
+        for shape in ((3,), (3, 4, 1)):
+            with pytest.raises(ValueError, match=r"expects a \[N,D\] tensor"):
+                T.reduce_over_set(T.Tensor(np.zeros(shape)), "sum", [3])
+
     def test_permutation_invariance_after_canonical_sort(self):
         rng = np.random.default_rng(8)
         rows = rng.standard_normal((7, 5))
@@ -434,6 +441,15 @@ class TestConv1d:
         with pytest.raises(ValueError, match="too short"):
             T.conv1d_over_sequence(T.Tensor(np.zeros((2, 4))),
                                    T.Tensor(np.zeros((3, 4, 1))), [2])
+
+    def test_bad_ranks_or_widths_rejected(self):
+        for emb, kernels in (((5,), (2, 4, 1)), ((5, 4), (2, 4)), ((1, 5, 4), (2, 4, 1))):
+            with pytest.raises(ValueError, match=r"expects \[L,E\] and \[w,E,F\]"):
+                T.conv1d_over_sequence(T.Tensor(np.zeros(emb)), T.Tensor(np.zeros(kernels)),
+                                       [5])
+        with pytest.raises(ValueError, match="embedding width mismatch: sequence 4, kernels 3"):
+            T.conv1d_over_sequence(T.Tensor(np.zeros((5, 4))), T.Tensor(np.zeros((2, 3, 1))),
+                                   [5])
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(12)
@@ -517,6 +533,12 @@ class TestEmbeddingLookup:
         table = T.Tensor(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="vocabulary"):
             T.embedding_lookup(table, np.array([4]))
+
+    def test_indices_must_be_a_1d_integer_array(self):
+        table = T.Tensor(np.zeros((4, 3)))
+        for indices in (np.array([1.0, 2.0]), np.array([True]), np.array([[1, 2]])):
+            with pytest.raises(ValueError, match="1-D integer index array"):
+                T.embedding_lookup(table, indices)
 
     def test_duplicate_indices_accumulate_gradient(self):
         table = T.parameter(np.zeros((4, 2)))

@@ -123,6 +123,18 @@ class TestAdamW:
         assert state.t == 0
         assert not state.m.any() and not state.v.any()
 
+    def test_negative_learning_rate_updates_nothing(self):
+        params = {"a": T.parameter([[1.0, -2.0]])}
+        state = AdamWState(params)
+        params["a"].grad[...] = 0.5
+        adamw_step(state, lr=0.1)
+        saved = [x.copy() for x in (state.theta, state.m, state.v)]
+        with pytest.raises(ValueError, match="learning rate must be >= 0, got -0.001"):
+            adamw_step(state, -1e-3)
+        for before, after in zip(saved, (state.theta, state.m, state.v)):
+            assert before.tobytes() == after.tobytes()
+        assert state.t == 1
+
     def test_flat_step_matches_the_per_parameter_update_bit_for_bit(self):
         # the update of one parameter at a time, in the step's float order
         rng = np.random.default_rng(4)
@@ -238,6 +250,21 @@ class TestLoss:
         with pytest.raises(ValueError, match="binary"):
             weighted_sigmoid_ce(T.Tensor(np.zeros((1, 2))), np.array([0.5, 1.0]),
                                 np.ones(2))
+
+    @pytest.mark.parametrize("logits,targets,weights,match", [
+        (np.zeros(2), [1, 0], np.ones(2), r"expected \[B,C\] logits, got shape \(2,\)"),
+        (np.zeros((1, 2)), [1, 0, 1], np.ones(2), "targets need 2 entries per row"),
+        (np.zeros((1, 2)), [1, 0], np.ones(3), "weights 2"),
+        (np.zeros((1, 2)), [1, 0], [1.0, 0.0], "class weights must be positive"),
+        (np.zeros((1, 2)), [1, 0], [1.0, -1.0], "class weights must be positive"),
+    ], ids=["logits-1d", "targets-count", "weights-count", "weight-zero", "weight-negative"])
+    def test_malformed_loss_inputs_rejected(self, logits, targets, weights, match):
+        with pytest.raises(ValueError, match=match):
+            weighted_sigmoid_ce(T.Tensor(logits), np.array(targets), np.array(weights))
+
+    def test_empty_label_matrix_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            inverse_sqrt_class_weights(np.zeros((0, 2), dtype=np.int64))
 
     def test_stable_at_extreme_logits(self):
         logits = T.Tensor([[1000.0, -1000.0]])
