@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +60,7 @@ class DatasetManifest:
         return len(self.class_names)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "task": self.task,
-            "class_names": list(self.class_names),
-            "sample_count": self.sample_count,
-            "modalities": [s.to_dict() for s in self.modalities],
-        }
+        return {**asdict(self), "modalities": [s.to_dict() for s in self.modalities]}
 
 
 def _manifest_from_dict(obj: dict, origin: str) -> DatasetManifest:
@@ -108,7 +102,7 @@ class _Column:
     comes; ``_check_ranges`` checks the values of every column at once."""
 
     def __init__(self, spec: ModalitySpec):
-        self.width = spec.input_dim if spec.kind == DENSE else None
+        self.width = spec.input_dim
         self.buf = array("d" if self.width else "q")
         self.dtype = np.float64 if self.width else np.int64
         self.types = {int, float} if self.width else {int}
@@ -257,7 +251,12 @@ def _sample_to_obj(sample: Sample) -> dict:
 
 
 def save_dataset(manifest: DatasetManifest, samples, directory) -> None:
-    """Write manifest.json and samples.jsonl; bytes are deterministic."""
+    """Write manifest.json and samples.jsonl; bytes are deterministic. A
+    ``sample_count`` other than ``len(samples)`` raises ValueError before
+    anything is written."""
+    if manifest.sample_count != len(samples):
+        raise ValueError(f"manifest declares {manifest.sample_count} samples, "
+                         f"got {len(samples)}")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     (d / "manifest.json").write_text(
@@ -297,7 +296,7 @@ class SyntheticConfig:
             raise ValueError(f"feature_dims must be a list of integers, got {self.feature_dims!r}")
         for i, v in enumerate(self.feature_dims):
             check_int(f"feature_dims[{i}]", v)
-        self.feature_dims = tuple(int(v) for v in self.feature_dims)
+        self.feature_dims = tuple(self.feature_dims)
         if len(self.feature_dims) != self.num_modalities:
             raise ValueError("feature_dims must have one entry per modality")
         check_int("min_instances", self.min_instances)

@@ -6,7 +6,6 @@ validation problems exit 2, numeric runtime failures exit 3.
 """
 
 import json
-import numbers
 from pathlib import Path
 
 
@@ -45,16 +44,17 @@ class NumericError(MMSetsError):
 
 
 def check_int(name: str, value, low: int = 1) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    """Raise ValueError unless ``value`` is an ``int`` (not a bool) >= ``low``.
+    A numpy integer is refused: it is not a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def check_real(name: str, value, low: float, high: float = float("inf"),
                open_low: bool = False) -> None:
-    """Raise ValueError unless ``value`` is a real number (not a bool) in
-    ``[low, high)``, or ``(low, high)`` when ``open_low``. NaN and inf fail."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    """Raise ValueError unless ``value`` is an ``int`` or ``float`` (not a bool)
+    in ``[low, high)``, or ``(low, high)`` when ``open_low``. NaN and inf fail."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not (low < value if open_low else low <= value) or not value < high):
         raise ValueError(f"{name} must be a number in {'(' if open_low else '['}{low}, "
                          f"{high}), got {value!r}")

@@ -14,7 +14,7 @@ and extra instances are dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain, repeat
 from operator import gt
 
@@ -35,7 +35,8 @@ class ModalitySpec:
     """Declaration of one feature modality.
 
     Dense modalities carry float vectors of length ``input_dim``; index
-    sequences carry int vectors with values in [0, vocab_size). At most
+    sequences carry int vectors with values in [0, vocab_size). A spec keeps
+    only its kind's size: the other kind's field is set to None. At most
     ``max_instances`` occurrences per sample enter the set; extras are
     subsampled away.
     """
@@ -57,15 +58,10 @@ class ModalitySpec:
         else:
             raise ValueError(f"unknown modality kind {self.kind!r}")
         check_int(f"max_instances of modality {self.modality_id!r}", self.max_instances)
+        object.__setattr__(self, "vocab_size" if self.kind == DENSE else "input_dim", None)
 
     def to_dict(self) -> dict:
-        d = {"modality_id": self.modality_id, "kind": self.kind,
-             "max_instances": self.max_instances}
-        if self.kind == DENSE:
-            d["input_dim"] = self.input_dim
-        else:
-            d["vocab_size"] = self.vocab_size
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":

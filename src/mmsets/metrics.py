@@ -7,6 +7,7 @@ independent brute-force oracles.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -106,6 +107,7 @@ def export_fim(aggregates, path) -> None:
     ``aggregates`` is a list of (model_tag, {modality_id: fraction}); each
     fraction map must sum to 1 within 1e-9. Rows keep input order, columns
     are the sorted union of modality ids, absent pairs are written as 0.0.
+    The CSV quotes only the cells that need it, so any id re-parses intact.
     Output bytes are deterministic for a given input.
     """
     if not aggregates:
@@ -120,10 +122,10 @@ def export_fim(aggregates, path) -> None:
               for _, fractions in aggregates]
 
     csv_path = Path(path)
-    lines = ["model," + ",".join(columns)]
-    for tag, row in zip(models, matrix):
-        lines.append(tag + "," + ",".join(repr(v) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model", *columns])
+        writer.writerows([tag, *map(repr, row)] for tag, row in zip(models, matrix))
 
     twin = {"modalities": columns, "models": models, "matrix": matrix}
     csv_path.with_suffix(".json").write_text(
@@ -141,8 +143,5 @@ class EvalReport:
     fim: dict | None = None
     per_group_accuracy: dict | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

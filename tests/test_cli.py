@@ -220,6 +220,21 @@ class TestEval:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_leftover_size_of_the_other_kind_is_ignored(self, tmp_path):
+        # a dense modality that also carries a vocab_size: the spec keeps only
+        # input_dim, so the dataset's own checkpoint fits it
+        data = gen_dataset(tmp_path, ["--modalities", "2"])
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["modalities"][1]["vocab_size"] = 7
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        checkpoint = train_checkpoint(tmp_path, data)
+        specs = json.loads(checkpoint.read_text())["specs"]
+        assert [sorted(spec) for spec in specs] == [
+            ["input_dim", "kind", "max_instances", "modality_id"]] * 2
+        out = tmp_path / "ev"
+        assert main(["eval", "--data", str(data), "--out", str(out),
+                     "--checkpoint", str(checkpoint)]) == 0
+
     @pytest.mark.parametrize("train_flags", [["--pool", "sum"], ["--baseline", "concat"]],
                              ids=["sum", "concat"])
     def test_importance_needs_a_max_or_min_checkpoint(self, tmp_path, capsys, train_flags):

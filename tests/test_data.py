@@ -305,6 +305,12 @@ class TestRoundTrip:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_save_refuses_a_count_mismatch(self, tmp_path):
+        manifest, samples = generate_synthetic(SyntheticConfig(num_samples=20, seed=3))
+        with pytest.raises(ValueError, match="declares 20 samples, got 10"):
+            save_dataset(manifest, samples[:10], tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
     def test_payload_lines_are_pinned(self, tmp_path):
         """Each payload is written as the JSON of its values: floats by their
         shortest float64 repr (float32 widened exactly), ints in full, and

@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 import mmsets.tensor as T
-from mmsets.data import ModalityInstance, Sample
+from mmsets.data import ModalityInstance, Sample, SyntheticConfig
 from mmsets.errors import EmptySetError
 from mmsets.evaluate import predict_scores
 from mmsets.fusion import (ConcatModel, DenseEncoder, FusionModel, ImportanceRecord, Mlp,
                            ModalitySpec, ModelConfig, SequenceEncoder, aggregate_importance,
                            build_set)
 from mmsets.seeding import derive_rng
+from mmsets.training import TrainConfig
 from helpers import (central_diff, max_rel_err, mixed_specs, random_sample, reference_batch,
                      shuffled_copy, sum_all)
 
@@ -50,6 +53,17 @@ class TestModalitySpec:
     def test_roundtrip_dict(self):
         spec = ModalitySpec("obj", "index_sequence", vocab_size=9, max_instances=4)
         assert ModalitySpec.from_dict(spec.to_dict()) == spec
+
+    def test_keeps_only_its_kinds_size(self):
+        dense = ModalitySpec("a", "dense", input_dim=4, vocab_size=7)
+        assert dense == ModalitySpec("a", "dense", input_dim=4)
+        assert dense.to_dict() == {"modality_id": "a", "kind": "dense", "input_dim": 4,
+                                   "max_instances": 10}
+        assert ModalitySpec.from_dict(dense.to_dict()) == dense
+        tokens = ModalitySpec("b", "index_sequence", input_dim=3, vocab_size=9)
+        assert tokens == ModalitySpec("b", "index_sequence", vocab_size=9)
+        assert "input_dim" not in tokens.to_dict()
+        assert ModalitySpec.from_dict(tokens.to_dict()) == tokens
 
 
 class TestBuildSet:
@@ -572,6 +586,35 @@ def test_invalid_pool_rejected_on_build_and_reassign():
     with pytest.raises(AttributeError):
         model.pool = "sum"
     assert model.pool == "max"
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: ModalitySpec("a", "dense", input_dim=np.int64(4)), "input_dim of dense modality 'a'"),
+    (lambda: ModalitySpec("a", "index_sequence", vocab_size=np.int32(9)),
+     "vocab_size of index_sequence modality 'a'"),
+    (lambda: ModalitySpec("a", "dense", input_dim=4, max_instances=np.int64(2)),
+     "max_instances of modality 'a'"),
+    (lambda: ModelConfig(dim=np.int64(8)), "dim"),
+    (lambda: ModelConfig(kernel_widths=(2, np.int64(3))), "kernel_widths[1]"),
+    (lambda: ModelConfig(dropout_p=np.float32(0.25)), "dropout_p"),
+    (lambda: FusionModel(mixed_specs(), 2, dim=np.int64(8)), "dim"),
+    (lambda: ConcatModel(mixed_specs(), 2, embed_dim=np.uint8(4)), "embed_dim"),
+    (lambda: TrainConfig(epochs=np.int64(3)), "epochs"),
+    (lambda: TrainConfig(peak_lr=np.float32(1e-3)), "peak_lr"),
+    (lambda: SyntheticConfig(num_samples=np.int64(10)), "num_samples"),
+    (lambda: SyntheticConfig(feature_dims=[8, 8, np.int64(8), 8]), "feature_dims[2]"),
+], ids=["spec-input_dim", "spec-vocab_size", "spec-max_instances", "model-dim",
+        "model-kernel_widths", "model-dropout_p", "fusion-dim", "concat-embed_dim",
+        "train-epochs", "train-peak_lr", "synthetic-num_samples", "synthetic-feature_dims"])
+def test_numpy_numbers_are_refused_by_name(build, field):
+    # every config number is written as a JSON number, which a numpy int or
+    # float32 is not
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be")):
+        build()
+
+
+def test_numpy_float64_is_a_float():
+    assert ModelConfig(dropout_p=np.float64(0.5)).dropout_p == 0.5
 
 
 @pytest.mark.parametrize("model_class,combined_dim", [(FusionModel, 8), (ConcatModel, 160)])

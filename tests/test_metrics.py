@@ -254,6 +254,17 @@ class TestExportFim:
             assert row[0] == tag
             assert [float(v) for v in row[1:]] == values
 
+    def test_any_id_reparses_from_the_csv(self, tmp_path):
+        path = tmp_path / "fim.csv"
+        export_fim([("max,D8", {"a,b": 0.5, 'q"x': 0.25, "two\nlines": 0.25}),
+                    ("plain", {"a,b": 1.0})], path)
+        twin = json.loads(path.with_suffix(".json").read_text())
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["model", *twin["modalities"]]
+        assert [row[0] for row in rows] == twin["models"]
+        assert [[float(v) for v in row[1:]] for row in rows] == twin["matrix"]
+
     def test_bad_sum_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sum"):
             export_fim([("m", {"img": 0.6})], tmp_path / "fim.csv")
